@@ -32,7 +32,6 @@ from .estimator import (
     VarianceCalibration,
     arrange_by_covariate,
     auto_calibration,
-    naive_estimate,
     p_value_from_z,
     plugin_calibration,
     rank_counts,
@@ -41,18 +40,18 @@ from .estimator import (
 )
 from .fdr import (
     FdrConfig,
-    ThresholdDecision,
+    ThresholdRule,
     by_threshold,
     evaluate_selection,
     fdp_hat,
     harmonic_number,
 )
 from .io import ingest_csv, standardize_columns
-from .oracle import OracleReport, check_estimate, oracle_estimate, oracle_threshold
+from .oracle import oracle_estimate, oracle_threshold
 from .screening import (
-    ActiveSet,
     Dataset,
     ScreeningResult,
+    Selection,
     augment_with_noise,
     hard_threshold_select,
     level_threshold_select,
@@ -65,7 +64,6 @@ from .simlab import (
     ModelSpec,
     ReplicationOutcome,
     SimulationReport,
-    ThresholdRule,
     generate_design,
     generate_response,
     run_study,
@@ -74,7 +72,6 @@ from .simlab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet",
     "AllColumnsConstant",
     "ConfigError",
     "Dataset",
@@ -94,24 +91,22 @@ __all__ = [
     "ModelSpec",
     "NonNumericColumn",
     "NonPositiveThreshold",
-    "OracleReport",
     "PairedSample",
     "ParseError",
     "RankCounts",
     "ReplicationOutcome",
     "SampleTooSmall",
     "ScreeningResult",
+    "Selection",
     "SimulationReport",
     "SitScreenError",
     "SliceConfig",
-    "ThresholdDecision",
     "ThresholdRule",
     "VarianceCalibration",
     "arrange_by_covariate",
     "augment_with_noise",
     "auto_calibration",
     "by_threshold",
-    "check_estimate",
     "derive_seed",
     "evaluate_selection",
     "fdp_hat",
@@ -122,7 +117,6 @@ __all__ = [
     "ingest_csv",
     "level_threshold_select",
     "minimum_model_size",
-    "naive_estimate",
     "oracle_estimate",
     "oracle_threshold",
     "p_value_from_z",

@@ -27,7 +27,7 @@ from .estimator import (
     auto_calibration,
     plugin_calibration,
 )
-from .fdr import FdrConfig, by_threshold
+from .fdr import ThresholdRule
 from .io import ingest_csv
 from .reports import (
     augment_report,
@@ -45,12 +45,10 @@ from .screening import (
     RULE_HARD_SIZE,
     Dataset,
     augment_with_noise,
-    hard_threshold_select,
-    level_threshold_select,
     screen_all,
 )
 from .seeding import DEFAULT_MASTER_SEED, derive_seed
-from .simlab import DesignSpec, ModelSpec, ThresholdRule, run_study
+from .simlab import DesignSpec, ModelSpec, run_study
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -166,28 +164,19 @@ def _calibration_for(mode: str, y):
     return auto_calibration(y)
 
 
-def _apply_rule(args, result, n: int):
-    """Run the configured threshold rule; returns (outcome, selected)."""
-    if args.rule == RULE_HARD_SIZE:
-        d = args.d if args.d is not None else default_hard_size(n, result.p)
-        outcome = hard_threshold_select(result, d)
-        return outcome, outcome.indices
-    if args.rule == RULE_HARD_LEVEL:
-        if args.level is None:
-            raise ConfigError("--rule hard-level requires --level")
-        outcome = level_threshold_select(result, args.level)
-        return outcome, outcome.indices
-    decision = by_threshold(result, FdrConfig(q=args.q, adjustment=args.rule))
-    return decision, decision.selected
-
-
 def _screen_once(args, data: Dataset, seed: int):
-    """Shared screen pipeline; returns (result, outcome, selected, config)."""
+    """Shared screen pipeline; returns (result, selection, config)."""
     c = auto_slice_size(data.n) if args.c == "auto" else args.c
     config = SliceConfig(c=c, tie_seed=seed)
     calibration = _calibration_for(args.sigma, data.y)
     result = screen_all(data, config, calibration=calibration)
-    outcome, selected = _apply_rule(args, result, data.n)
+    rule = ThresholdRule(
+        kind=args.rule,
+        d=args.d if args.d is not None else default_hard_size(data.n, data.p),
+        q=args.q,
+        level=args.level,
+    )
+    selection = rule.apply(result)
     effective = {
         "input": args.input,
         "response": args.response,
@@ -204,15 +193,15 @@ def _screen_once(args, data: Dataset, seed: int):
         "level": args.level,
         "seed": int(seed),
     }
-    return result, outcome, selected, effective
+    return result, selection, effective
 
 
 def cmd_screen(args) -> int:
     started = time.perf_counter()
     data = ingest_csv(args.input, args.response, standardize=args.standardize)
-    result, outcome, selected, effective = _screen_once(args, data, args.seed)
+    result, selection, effective = _screen_once(args, data, args.seed)
     report = screen_report(
-        result, outcome, selected, data.names, effective,
+        result, selection, selection.selected, data.names, effective,
         timing_seconds=time.perf_counter() - started,
     )
     text = dump_json(report, args.output)
@@ -220,9 +209,7 @@ def cmd_screen(args) -> int:
         print(text)
     if args.plot_data:
         lines = plot_data_lines(
-            result, selected, data.names,
-            outcome.realized_threshold if hasattr(outcome, "realized_threshold")
-            else math.inf,
+            result, selection.selected, data.names, selection.realized_threshold
         )
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -245,12 +232,7 @@ def _simulate_settings(args):
     q = pick("q", 0.1)
     d = pick("d", default_hard_size(n, p))
     kinds = args.rule or [RULE_HARD_SIZE]
-    rules = []
-    for kind in kinds:
-        if kind == RULE_HARD_SIZE:
-            rules.append(ThresholdRule(kind=kind, d=d))
-        else:
-            rules.append(ThresholdRule(kind=kind, q=q))
+    rules = [ThresholdRule(kind=kind, d=d, q=q) for kind in kinds]
     return n, p, rho, c, rules
 
 
@@ -303,29 +285,29 @@ def cmd_simulate(args) -> int:
 def cmd_augment_check(args) -> int:
     started = time.perf_counter()
     data = ingest_csv(args.input, args.response, standardize=args.standardize)
-    result, outcome, selected, effective = _screen_once(args, data, args.seed)
+    result, selection, effective = _screen_once(args, data, args.seed)
     num_aux = args.num_aux
     if num_aux is None:
-        num_aux = data.p - int(len(selected))
+        num_aux = data.p - selection.num_selected
     augmented_data = augment_with_noise(
-        data, keep=selected, num_aux=num_aux, seed=derive_seed(args.seed, 1)
+        data, keep=selection.selected, num_aux=num_aux,
+        seed=derive_seed(args.seed, 1),
     )
-    aug_result, aug_outcome, aug_selected, _ = _screen_once(
-        args, augmented_data, args.seed
-    )
+    aug_result, aug_selection, _ = _screen_once(args, augmented_data, args.seed)
 
     names = data.names
-    kept_names = [names[int(k)] for k in selected]
+    kept_names = [names[int(k)] for k in selection.selected]
     aug_names = augmented_data.names
-    reselected = [aug_names[int(k)] for k in aug_selected]
+    reselected = [aug_names[int(k)] for k in aug_selection.selected]
     overlap = sorted(set(kept_names) & set(reselected))
     effective["num_aux"] = int(num_aux)
 
     original_report = screen_report(
-        result, outcome, selected, names, effective, timing_seconds=0.0
+        result, selection, selection.selected, names, effective,
+        timing_seconds=0.0,
     )
     augmented_report = screen_report(
-        aug_result, aug_outcome, aug_selected, aug_names, effective,
+        aug_result, aug_selection, aug_selection.selected, aug_names, effective,
         timing_seconds=0.0,
     )
     for sub_report in (original_report, augmented_report):

@@ -223,6 +223,18 @@ def _within_slice_rank_spread(r_sliced: np.ndarray, H: int, c: int) -> int:
     return int(ro @ w @ np.ones(H, dtype=np.int64))
 
 
+def _dispersion_sum(R: np.ndarray, n: int) -> int:
+    """Exact sum of R_i (n - R_i) as a Python int.
+
+    A plain int64 sum wraps once n^3 / 6 passes 2^63 (n above about 4M).
+    Each term (at most n^2 / 4) is split into its high and low 32-bit
+    halves; each half sums in int64 without overflow for n < 2^31, and the
+    two partial sums are combined as Python ints.
+    """
+    terms = R * (n - R)
+    return (int(np.sum(terms >> 32)) << 32) + int(np.sum(terms & 0xFFFFFFFF))
+
+
 def _combine(num: int, den: int, n_effective: int, c: int) -> float:
     # Exact integer arithmetic with one final rounding; both the fast path
     # and the brute-force reference evaluate this same expression.
@@ -237,7 +249,7 @@ def statistic_from_arrangement(y_sliced: np.ndarray, config: SliceConfig) -> flo
         raise ConfigError("configuration must be resolved before evaluation")
     counts = rank_counts(y_sliced)
     n_eff = config.n_effective
-    den = int(np.sum(counts.R * (n_eff - counts.R)))
+    den = _dispersion_sum(counts.R, n_eff)
     if den == 0:
         raise DegenerateResponse("response is constant after trimming")
     num = _within_slice_rank_spread(counts.r, config.H, config.c)
@@ -299,7 +311,7 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     if n < 2:
         raise ValueError("need at least 2 observations")
     counts = rank_counts(y)
-    theta2 = float(np.sum(counts.R * (n - counts.R))) / n**3
+    theta2 = _dispersion_sum(counts.R, n) / n**3
     if theta2 == 0.0:
         raise DegenerateResponse("response is constant")
     # With u = F(y) sorted ascending, min(u_j, u_l) = u_j for j < l, so the
@@ -325,13 +337,3 @@ def auto_calibration(y: np.ndarray) -> VarianceCalibration:
         return VarianceCalibration.fixed()
     return plugin_calibration(y)
 
-
-def naive_estimate(sample: PairedSample, config: SliceConfig) -> float:
-    """Quadratic-time transcription of the statistic, for testing.
-
-    Delegates to the single brute-force reference implementation in
-    :mod:`sitscreen.oracle`; see there for details.
-    """
-    from .oracle import oracle_estimate
-
-    return oracle_estimate(sample, config)

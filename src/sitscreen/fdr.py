@@ -25,7 +25,16 @@ import numpy as np
 
 from .errors import ConfigError, NonPositiveThreshold
 from .estimator import p_value_from_z
-from .screening import RULE_BH, RULE_BY, ScreeningResult
+from .screening import (
+    RULE_BH,
+    RULE_BY,
+    RULE_HARD_LEVEL,
+    RULE_HARD_SIZE,
+    ScreeningResult,
+    Selection,
+    hard_threshold_select,
+    level_threshold_select,
+)
 
 ADJUSTMENTS = (RULE_BY, RULE_BH)
 
@@ -43,40 +52,22 @@ class FdrConfig:
     adjustment: str = RULE_BY
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
+        if self.q is None or not (0.0 < self.q < 1.0):
             raise ConfigError(f"q must lie in (0, 1), got {self.q}")
         if self.adjustment not in ADJUSTMENTS:
             raise ConfigError(f"adjustment must be one of {ADJUSTMENTS}")
 
 
-@dataclass(frozen=True)
-class ThresholdDecision:
-    """Outcome of the data-adaptive rule.
-
-    ``realized_threshold`` is +inf when nothing qualifies (empty selection);
-    otherwise it is the smallest selected statistic value, and the selected
-    set is exactly {k: omega_k >= realized_threshold}, closed under ties.
-    """
-
-    realized_threshold: float
-    num_selected: int
-    selected: np.ndarray
-    per_k_pvalues: np.ndarray
-    harmonic_constant: float
-    rule: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", np.asarray(self.selected, dtype=np.intp))
-
-
-def by_threshold(result: ScreeningResult, config: FdrConfig) -> ThresholdDecision:
+def by_threshold(result: ScreeningResult, config: FdrConfig) -> Selection:
     """Data-adaptive selection via the step-up form of the threshold rule.
 
     Walk covariates in increasing p-value order (equivalently decreasing
     utility) and find the largest position k whose p-value is at most
     k * q / (p * S(p)); the utility at that position is the realized
     threshold.  Only positive utilities are candidates, so covariates with
-    omega <= 0 are never selected.  An empty selection is a valid outcome.
+    omega <= 0 are never selected.  An empty selection is a valid outcome,
+    with threshold +inf; otherwise the selected set is exactly
+    {k: omega_k >= threshold}, closed under ties.
     """
     p = result.p
     harmonic = harmonic_number(p) if config.adjustment == RULE_BY else 1.0
@@ -88,24 +79,60 @@ def by_threshold(result: ScreeningResult, config: FdrConfig) -> ThresholdDecisio
     qualifies = (omega_sorted > 0.0) & (pvals_sorted <= bounds)
     hits = np.flatnonzero(qualifies)
     if hits.size == 0:
-        return ThresholdDecision(
-            realized_threshold=math.inf,
-            num_selected=0,
-            selected=np.array([], dtype=np.intp),
-            per_k_pvalues=result.p_values,
-            harmonic_constant=harmonic,
-            rule=config.adjustment,
-        )
-    threshold = float(omega_sorted[hits[-1]])
-    selected = np.flatnonzero(result.omega >= threshold)
-    return ThresholdDecision(
-        realized_threshold=threshold,
-        num_selected=int(selected.size),
+        threshold = math.inf
+        selected = np.array([], dtype=np.intp)
+    else:
+        threshold = float(omega_sorted[hits[-1]])
+        selected = np.flatnonzero(result.omega >= threshold)
+    return Selection(
         selected=selected,
-        per_k_pvalues=result.p_values,
-        harmonic_constant=harmonic,
         rule=config.adjustment,
+        realized_threshold=threshold,
+        harmonic_constant=harmonic,
     )
+
+
+@dataclass(frozen=True)
+class ThresholdRule:
+    """One selection rule and its parameter; the only rule dispatcher.
+
+    ``hard-size`` keeps the top ``d`` covariates, ``hard-level`` keeps those
+    with omega >= ``level``, and ``by``/``bh`` run the FDR step-up at level
+    ``q``.  Parameters of the other kinds are ignored.
+    """
+
+    kind: str
+    d: int | None = None
+    q: float | None = None
+    level: float | None = None
+
+    def __post_init__(self):
+        if self.kind == RULE_HARD_SIZE:
+            if self.d is None or self.d < 1:
+                raise ConfigError("hard-size rule needs a model size d >= 1")
+        elif self.kind == RULE_HARD_LEVEL:
+            if self.level is None:
+                raise ConfigError("hard-level rule needs a level")
+        elif self.kind in ADJUSTMENTS:
+            FdrConfig(q=self.q, adjustment=self.kind)  # validates q
+        else:
+            raise ConfigError(f"unknown rule kind {self.kind!r}")
+
+    @property
+    def label(self) -> str:
+        if self.kind == RULE_HARD_SIZE:
+            return f"hard-size(d={self.d})"
+        if self.kind == RULE_HARD_LEVEL:
+            return f"hard-level(level={self.level:g})"
+        return f"{self.kind}(q={self.q:g})"
+
+    def apply(self, result: ScreeningResult) -> Selection:
+        """Run the rule on a screening result."""
+        if self.kind == RULE_HARD_SIZE:
+            return hard_threshold_select(result, self.d)
+        if self.kind == RULE_HARD_LEVEL:
+            return level_threshold_select(result, self.level)
+        return by_threshold(result, FdrConfig(q=self.q, adjustment=self.kind))
 
 
 def fdp_hat(t: float, result: ScreeningResult, config: FdrConfig) -> float:

@@ -42,7 +42,8 @@ def ingest_csv(path, response_selector: str, standardize: bool = False) -> Datas
     and unit sample variance (ddof=1); constant columns are only centered.
     Parse failures name the offending cell by row number and column name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

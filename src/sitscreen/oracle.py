@@ -9,22 +9,10 @@ without which exact equality would be ill-posed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateResponse
 from .estimator import PairedSample, SliceConfig, arrange_by_covariate
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """One optimized-vs-reference comparison; ``agree`` means exact equality."""
-
-    instance: str
-    optimized: object
-    oracle: object
-    agree: bool
 
 
 def oracle_estimate(sample: PairedSample, config: SliceConfig) -> float:
@@ -93,18 +81,3 @@ def oracle_threshold(
     threshold = min(qualifying)
     return np.flatnonzero(omega >= threshold)
 
-
-def check_estimate(
-    sample: PairedSample, config: SliceConfig, label: str = ""
-) -> OracleReport:
-    """Run fast and reference estimators on one instance and compare exactly."""
-    from .estimator import sliced_estimate
-
-    fast = sliced_estimate(sample, config).omega_hat
-    slow = oracle_estimate(sample, config)
-    return OracleReport(
-        instance=label or f"n={sample.n}, c={config.c}, seed={config.tie_seed}",
-        optimized=fast,
-        oracle=slow,
-        agree=(fast == slow),
-    )

@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .fdr import ThresholdDecision
-from .screening import ActiveSet, ScreeningResult
+from .screening import ScreeningResult, Selection
 from .simlab import SimulationReport
 
 SCHEMA_VERSION = 1
@@ -38,28 +37,18 @@ def calibration_dict(calibration) -> dict:
     }
 
 
-def threshold_dict(outcome) -> dict:
-    """Normalize an ActiveSet or ThresholdDecision into a report block."""
-    if isinstance(outcome, ThresholdDecision):
-        return {
-            "rule": outcome.rule,
-            "realized_threshold": _finite_or_none(outcome.realized_threshold),
-            "num_selected": outcome.num_selected,
-            "harmonic_constant": outcome.harmonic_constant,
-        }
-    if isinstance(outcome, ActiveSet):
-        return {
-            "rule": outcome.rule,
-            "realized_threshold": _finite_or_none(outcome.realized_threshold),
-            "num_selected": int(outcome.size),
-            "harmonic_constant": None,
-        }
-    raise TypeError(f"unsupported threshold outcome {type(outcome)!r}")
+def threshold_dict(outcome: Selection) -> dict:
+    return {
+        "rule": outcome.rule,
+        "realized_threshold": _finite_or_none(outcome.realized_threshold),
+        "num_selected": outcome.num_selected,
+        "harmonic_constant": outcome.harmonic_constant,
+    }
 
 
 def screen_report(
     result: ScreeningResult,
-    outcome,
+    outcome: Selection,
     selected: np.ndarray,
     names,
     effective_config: dict,

@@ -29,6 +29,7 @@ from .estimator import (
     SliceConfig,
     VarianceCalibration,
     _combine,
+    _dispersion_sum,
     _within_slice_rank_spread,
     auto_calibration,
     p_value_from_z,
@@ -118,21 +119,27 @@ class ScreeningResult:
 
 
 @dataclass(frozen=True)
-class ActiveSet:
-    """A selection outcome: sorted indices, the rule used, and its threshold."""
+class Selection:
+    """Outcome of a threshold rule: sorted selected indices, rule, threshold.
 
-    indices: np.ndarray
+    ``realized_threshold`` is +inf when an FDR rule selects nothing.
+    ``harmonic_constant`` is the FDR adjustment S(p) (1 for bh) and ``None``
+    for the hard rules.
+    """
+
+    selected: np.ndarray
     rule: str
     realized_threshold: float
+    harmonic_constant: float | None = None
 
     def __post_init__(self):
         object.__setattr__(
-            self, "indices", np.asarray(self.indices, dtype=np.intp)
+            self, "selected", np.asarray(self.selected, dtype=np.intp)
         )
 
     @property
-    def size(self) -> int:
-        return self.indices.shape[0]
+    def num_selected(self) -> int:
+        return int(self.selected.shape[0])
 
 
 def _column_omega(xk, y, seed, c, H, n_raw, shared):
@@ -156,7 +163,7 @@ def _column_omega(xk, y, seed, c, H, n_raw, shared):
         u = rng.random(n_eff)
         order = np.lexsort((u, xk))
         counts = rank_counts(y[keep])
-        den = int(np.sum(counts.R * (n_eff - counts.R)))
+        den = _dispersion_sum(counts.R, n_eff)
         if den == 0:
             raise DegenerateResponse("response is constant after trimming")
         r_sliced = counts.r[order]
@@ -167,7 +174,12 @@ def _column_omega(xk, y, seed, c, H, n_raw, shared):
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: explicit request, capped by SIT_SCREEN_THREADS if set."""
     cap = os.environ.get(THREADS_ENV_VAR)
-    cap = int(cap) if cap else None
+    try:
+        cap = int(cap) if cap else None
+    except ValueError:
+        raise ConfigError(
+            f"{THREADS_ENV_VAR} must be an integer, got {cap!r}"
+        ) from None
     threads = requested if requested else (cap or os.cpu_count() or 1)
     if cap is not None:
         threads = min(threads, cap)
@@ -203,7 +215,7 @@ def screen_all(
         shared = None
     else:
         counts = rank_counts(y)
-        den = int(np.sum(counts.R * (n_eff - counts.R)))
+        den = _dispersion_sum(counts.R, n_eff)
         shared = (counts.r, den)
 
     p = data.p
@@ -239,24 +251,24 @@ def screen_all(
     )
 
 
-def hard_threshold_select(result: ScreeningResult, d: int) -> ActiveSet:
+def hard_threshold_select(result: ScreeningResult, d: int) -> Selection:
     """Keep the d covariates with the largest utilities (ties by index)."""
     if not (1 <= d <= result.p):
         raise InvalidSize(f"model size d={d} outside [1, {result.p}]")
     top = result.order[:d]
-    return ActiveSet(
-        indices=np.sort(top),
+    return Selection(
+        selected=np.sort(top),
         rule=RULE_HARD_SIZE,
         realized_threshold=float(result.omega[result.order[d - 1]]),
     )
 
 
-def level_threshold_select(result: ScreeningResult, threshold: float) -> ActiveSet:
+def level_threshold_select(result: ScreeningResult, threshold: float) -> Selection:
     """Keep every covariate whose utility is at least ``threshold``."""
     if np.isnan(threshold):
         raise ConfigError("threshold must not be NaN")
-    return ActiveSet(
-        indices=np.flatnonzero(result.omega >= threshold),
+    return Selection(
+        selected=np.flatnonzero(result.omega >= threshold),
         rule=RULE_HARD_LEVEL,
         realized_threshold=float(threshold),
     )

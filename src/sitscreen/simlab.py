@@ -38,14 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IncompatibleDimensions, InvalidRho
-from .fdr import FdrConfig, by_threshold
+from .fdr import ThresholdRule, evaluate_selection  # noqa: F401 (ThresholdRule re-exported)
 from .screening import (
-    RULE_BH,
-    RULE_BY,
     RULE_HARD_SIZE,
     Dataset,
-    ScreeningResult,
-    hard_threshold_select,
     minimum_model_size,
     screen_all,
 )
@@ -173,39 +169,6 @@ class ModelSpec:
         return max(self.active_set) + 1
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """One selection rule: hard-size (fixed count d) or by/bh (FDR level q)."""
-
-    kind: str
-    d: int | None = None
-    q: float | None = None
-
-    def __post_init__(self):
-        if self.kind == RULE_HARD_SIZE:
-            if self.d is None or self.d < 1:
-                raise ConfigError("hard-size rule needs a model size d >= 1")
-        elif self.kind in (RULE_BY, RULE_BH):
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise ConfigError(f"{self.kind} rule needs q in (0, 1)")
-        else:
-            raise ConfigError(f"unknown rule kind {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        if self.kind == RULE_HARD_SIZE:
-            return f"hard-size(d={self.d})"
-        return f"{self.kind}(q={self.q:g})"
-
-    def apply(self, result: ScreeningResult) -> tuple[np.ndarray, float]:
-        """Selected indices and realized threshold on a screening result."""
-        if self.kind == RULE_HARD_SIZE:
-            chosen = hard_threshold_select(result, self.d)
-            return chosen.indices, chosen.realized_threshold
-        decision = by_threshold(result, FdrConfig(q=self.q, adjustment=self.kind))
-        return decision.selected, decision.realized_threshold
-
-
 def generate_design(spec: DesignSpec) -> np.ndarray:
     """Draw the n x p Gaussian design with correlation rho^|k-l|."""
     rng = rng_from_seed(spec.seed)
@@ -315,15 +278,12 @@ def run_replication(
     mms = minimum_model_size(result, active)
 
     selections, fdp, model_size, all_active = {}, {}, {}, {}
-    active_sorted = set(active)
     for rule in rules:
-        selected, _ = rule.apply(result)
-        chosen = set(int(v) for v in selected)
-        false_hits = len(chosen - active_sorted)
-        selections[rule.label] = np.asarray(sorted(chosen), dtype=np.intp)
-        fdp[rule.label] = false_hits / max(len(chosen), 1)
-        model_size[rule.label] = len(chosen)
-        all_active[rule.label] = active_sorted <= chosen
+        selected = rule.apply(result).selected
+        fdp[rule.label], true_hits = evaluate_selection(selected, active)
+        selections[rule.label] = selected
+        model_size[rule.label] = len(selected)
+        all_active[rule.label] = true_hits == len(active)
     return ReplicationOutcome(
         rep_index=rep_index,
         mms=mms,

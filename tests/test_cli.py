@@ -163,6 +163,14 @@ class TestExitCodes:
                         "--c", "one"])
         assert code == 4
 
+    def test_bad_thread_cap(self, tmp_path, monkeypatch, capsys):
+        csv_path = signal_csv(tmp_path)
+        monkeypatch.setenv("SIT_SCREEN_THREADS", "abc")
+        code = run_cli(["screen", "--input", csv_path, "--response", "y"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "SIT_SCREEN_THREADS" in err and "'abc'" in err
+
     def test_sample_too_small(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 2))

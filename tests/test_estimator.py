@@ -130,6 +130,15 @@ class TestPluginCalibration:
         assert VarianceCalibration.fixed().sigma_sq == FIXED_SIGMA_SQ == 4 / 5
 
 
+def test_exact_dispersion_sum_beyond_int64():
+    # sum R (n - R) = n (n^2 - 1) / 6 exceeds 2^63 at this n
+    n, c = 4_000_000, 2000
+    x = np.arange(n, dtype=np.float64)
+    estimate = sliced_estimate(PairedSample(x, x), SliceConfig(c=c))
+    assert estimate.omega_hat == (n - c) / (n + 1)
+    assert plugin_calibration(x).theta2 == (n * (n * n - 1) // 6) / n**3
+
+
 class TestRankCounts:
     def test_bounds_and_mirror(self):
         y = np.array([3.0, 1.0, 4.0, 1.0, 5.0])

@@ -10,11 +10,14 @@ from sitscreen import (
     FdrConfig,
     NonPositiveThreshold,
     SliceConfig,
+    ThresholdRule,
     VarianceCalibration,
     by_threshold,
     evaluate_selection,
     fdp_hat,
+    hard_threshold_select,
     harmonic_number,
+    level_threshold_select,
     oracle_threshold,
     p_value_from_z,
 )
@@ -148,6 +151,30 @@ class TestFdpHat:
                 assert not qualifying
             else:
                 assert decision.realized_threshold == min(qualifying)
+
+
+class TestThresholdRule:
+    def test_hard_level_needs_level(self):
+        with pytest.raises(ConfigError):
+            ThresholdRule(kind="hard-level")
+
+    @pytest.mark.parametrize("rule, select", [
+        (ThresholdRule(kind="hard-level", level=0.3),
+         lambda r: level_threshold_select(r, 0.3)),
+        (ThresholdRule(kind="hard-size", d=2),
+         lambda r: hard_threshold_select(r, 2)),
+        (ThresholdRule(kind="by", q=0.2),
+         lambda r: by_threshold(r, FdrConfig(q=0.2, adjustment="by"))),
+        (ThresholdRule(kind="bh", q=0.2),
+         lambda r: by_threshold(r, FdrConfig(q=0.2, adjustment="bh"))),
+    ])
+    def test_apply_matches_selector(self, rule, select):
+        result = result_from_omega([0.5, 0.1, 0.3, 0.3, 0.02])
+        got, want = rule.apply(result), select(result)
+        assert np.array_equal(got.selected, want.selected)
+        assert (got.rule, got.realized_threshold, got.harmonic_constant) == (
+            want.rule, want.realized_threshold, want.harmonic_constant
+        )
 
 
 class TestEvaluateSelection:

@@ -101,3 +101,12 @@ def test_quoted_fields(tmp_path):
     path = write(tmp_path, '"x,1",y\n1,2\n3,4\n')
     data = ingest_csv(path, "y")
     assert data.names == ("x,1",)
+
+
+def test_bom_header_first_column_by_name(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_text("x0,x1,y\n1,4,0.5\n2,5,0.6\n3,6,0.7\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    data = ingest_csv(str(path), "x0")
+    assert np.array_equal(data.y, [1.0, 2.0, 3.0])
+    assert data.names == ("x1", "y")

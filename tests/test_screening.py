@@ -130,7 +130,7 @@ class TestScreenAll:
         assert np.array_equal(base.order, transformed.order)
         d_base = hard_threshold_select(base, 5)
         d_tr = hard_threshold_select(transformed, 5)
-        assert np.array_equal(d_base.indices, d_tr.indices)
+        assert np.array_equal(d_base.selected, d_tr.selected)
         by_base = by_threshold(base, FdrConfig(q=0.2))
         by_tr = by_threshold(transformed, FdrConfig(q=0.2))
         assert np.array_equal(by_base.selected, by_tr.selected)
@@ -140,17 +140,17 @@ class TestSelectionRules:
     def test_hard_top_two(self):
         result = make_result([0.5, 0.1, 0.3])
         chosen = hard_threshold_select(result, 2)
-        assert list(chosen.indices) == [0, 2]
+        assert list(chosen.selected) == [0, 2]
         assert chosen.realized_threshold == 0.3
 
     def test_hard_tie_breaks_by_index(self):
         result = make_result([0.5, 0.5, 0.1])
         chosen = hard_threshold_select(result, 1)
-        assert list(chosen.indices) == [0]
+        assert list(chosen.selected) == [0]
 
     def test_hard_full_set(self):
         result = make_result([0.5, 0.1, 0.3])
-        assert list(hard_threshold_select(result, 3).indices) == [0, 1, 2]
+        assert list(hard_threshold_select(result, 3).selected) == [0, 1, 2]
 
     def test_hard_bad_size(self):
         result = make_result([0.5, 0.1, 0.3])
@@ -160,9 +160,9 @@ class TestSelectionRules:
 
     def test_level_select(self):
         result = make_result([0.5, 0.1, 0.3])
-        assert list(level_threshold_select(result, 0.2).indices) == [0, 2]
-        assert list(level_threshold_select(result, np.inf).indices) == []
-        assert list(level_threshold_select(result, -np.inf).indices) == [0, 1, 2]
+        assert list(level_threshold_select(result, 0.2).selected) == [0, 2]
+        assert list(level_threshold_select(result, np.inf).selected) == []
+        assert list(level_threshold_select(result, -np.inf).selected) == [0, 1, 2]
 
     def test_rules_agree_without_boundary_ties(self):
         rng = np.random.default_rng(8)
@@ -173,7 +173,7 @@ class TestSelectionRules:
             cutoff = result.omega[result.order[d - 1]]
             hard = hard_threshold_select(result, d)
             level = level_threshold_select(result, cutoff)
-            assert np.array_equal(hard.indices, level.indices)
+            assert np.array_equal(hard.selected, level.selected)
 
 
 class TestMinimumModelSize:
