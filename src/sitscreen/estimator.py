@@ -83,6 +83,11 @@ class SliceConfig:
                 f"need at least two slices: n={n} leaves {n_eff} observations "
                 f"for slices of {self.c}"
             )
+        if int(n_eff) * int(self.c) * int(n) >= 2**64:
+            raise ConfigError(
+                f"n={n} with c={self.c} is too large for the exact int64 spread "
+                "sum: n_effective * c * n must stay below 2**64"
+            )
         return dataclasses.replace(self, H=n_eff // self.c)
 
     @property
@@ -181,9 +186,9 @@ def arrange_by_covariate(
     is a pure function of (sample, config).  Returns the response values in
     slice order together with the resolved configuration.
 
-    This arrangement is deliberately shared with the brute-force reference
-    implementation: both paths must see the same tie-broken ordering for
-    exact-equality checks to be meaningful.
+    The brute-force reference uses this arrangement directly, and the fast
+    kernel reproduces it draw for draw: both paths must see the same
+    tie-broken ordering for exact-equality checks to be meaningful.
     """
     resolved = config.resolved(sample.n)
     rng = rng_from_seed(config.tie_seed)
@@ -211,49 +216,77 @@ def rank_counts(y: np.ndarray) -> RankCounts:
     return RankCounts(r=r, R=R)
 
 
-def _within_slice_rank_spread(r_sliced: np.ndarray, H: int, c: int) -> int:
-    """Sum over slices of all pairwise absolute rank differences.
-
-    For sorted ranks a_(0) <= ... <= a_(c-1) the pairwise sum equals
-    sum_j (2j - c + 1) a_(j), so one sort per slice replaces the c^2 pair
-    loop and the whole pass costs O(n log c).
-    """
-    ro = np.sort(r_sliced.reshape(H, c), axis=1)
-    w = 2 * np.arange(c, dtype=np.int64) - (c - 1)
-    return int(ro @ w @ np.ones(H, dtype=np.int64))
-
-
-def _dispersion_sum(R: np.ndarray, n: int) -> int:
-    """Exact sum of R_i (n - R_i) as a Python int.
+def _dispersion_sums(R: np.ndarray, n: int) -> list[int]:
+    """Exact sum of R_i (n - R_i) along the last axis, one Python int per row.
 
     A plain int64 sum wraps once n^3 / 6 passes 2^63 (n above about 4M).
     Each term (at most n^2 / 4) is split into its high and low 32-bit
     halves; each half sums in int64 without overflow for n < 2^31, and the
     two partial sums are combined as Python ints.
     """
-    terms = R * (n - R)
-    return (int(np.sum(terms >> 32)) << 32) + int(np.sum(terms & 0xFFFFFFFF))
+    terms = np.atleast_2d(R * (n - R))
+    high = np.sum(terms >> 32, axis=1)
+    low = np.sum(terms & 0xFFFFFFFF, axis=1)
+    return [(int(h) << 32) + int(l) for h, l in zip(high, low)]
 
 
-def _combine(num: int, den: int, n_effective: int, c: int) -> float:
-    # Exact integer arithmetic with one final rounding; both the fast path
-    # and the brute-force reference evaluate this same expression.
-    num_total = (n_effective - 1) * int(num)
-    den_total = (c - 1) * int(den)
-    return (den_total - num_total) / den_total
+def _kept_counts(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rank counts over each row's kept subsample, from full-sample counts.
+
+    Counts are strictly monotone in y, so a row's kept r_i is r_i minus
+    #{dropped j : r_j <= r_i}, read off a cumulative histogram of the row's
+    dropped counts; exact with ties, and the same holds for R.
+    """
+    rows, n = keep.shape
+    drop_rows, drop_cols = np.nonzero(~keep)
+    hist = np.bincount(drop_rows * (n + 1) + full[drop_cols], minlength=rows * (n + 1))
+    at_most = hist.reshape(rows, n + 1).cumsum(axis=1)
+    kept = np.broadcast_to(full, keep.shape)[keep].reshape(rows, -1)
+    return kept - np.take_along_axis(at_most, kept, axis=1)
 
 
-def statistic_from_arrangement(y_sliced: np.ndarray, config: SliceConfig) -> float:
-    """Statistic value from an already trimmed, slice-ordered response."""
-    if config.H is None:
-        raise ConfigError("configuration must be resolved before evaluation")
-    counts = rank_counts(y_sliced)
-    n_eff = config.n_effective
-    den = _dispersion_sum(counts.R, n_eff)
-    if den == 0:
+def _omega_block(xt, counts: RankCounts, seed_of, c: int, H: int) -> list[float]:
+    """Statistic of each row of a (columns, n) covariate block against y.
+
+    ``counts`` are the full response's rank counts, ``seed_of(j)`` row j's
+    tie seed.  Rows draw what :func:`arrange_by_covariate` draws, in order,
+    but tie-break keys only for rows with ties: a tie-free row's argsort
+    order is unique.  For sorted slice ranks a_(j) the pairwise spread is
+    sum_j (2j - c + 1) a_(j), one sort per slice.
+    """
+    p, n = xt.shape
+    n_eff = H * c
+    if n_eff == n:
+        rngs, ranks = None, counts.r
+        den = _dispersion_sums(counts.R, n) * p
+    else:
+        rngs = [rng_from_seed(seed_of(j)) for j in range(p)]
+        keep = np.ones((p, n), dtype=bool)
+        for j, rng in enumerate(rngs):
+            keep[j, rng.choice(n, size=n - n_eff, replace=False)] = False
+        xt = xt[keep].reshape(p, n_eff)
+        ranks = _kept_counts(counts.r, keep)
+        den = _dispersion_sums(_kept_counts(counts.R, keep), n_eff)
+    if 0 in den:
         raise DegenerateResponse("response is constant after trimming")
-    num = _within_slice_rank_spread(counts.r, config.H, config.c)
-    return _combine(num, den, n_eff, config.c)
+    order = np.argsort(xt, axis=1)
+    ordered = np.sort(xt, axis=1)  # cheaper than gathering xt by order
+    # == also pairs -0.0 with 0.0, which the lexsort treats as a tie
+    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if tied.size:
+        u = np.stack([
+            (rng_from_seed(seed_of(j)) if rngs is None else rngs[j]).random(n_eff)
+            for j in tied
+        ])
+        order[tied] = np.lexsort((u, xt[tied]), axis=1)
+    # a shared rank vector takes a plain gather, several times faster
+    sliced = ranks[order] if ranks.ndim == 1 else np.take_along_axis(ranks, order, 1)
+    w = 2 * np.arange(c, dtype=np.int64) - (c - 1)
+    num = (np.sort(sliced.reshape(p, H, c), axis=2) @ w).sum(axis=1)
+    # exact integers and one final rounding, as in the brute-force reference
+    return [
+        ((c - 1) * d - (n_eff - 1) * int(s)) / ((c - 1) * d) for s, d in zip(num, den)
+    ]
 
 
 def sliced_estimate(
@@ -269,8 +302,9 @@ def sliced_estimate(
     """
     if calibration is None:
         calibration = auto_calibration(sample.y)
-    y_sliced, resolved = arrange_by_covariate(sample, config)
-    value = statistic_from_arrangement(y_sliced, resolved)
+    resolved = config.resolved(sample.n)
+    (value,) = _omega_block(sample.x[None, :], rank_counts(sample.y),
+                            lambda j: config.tie_seed, resolved.c, resolved.H)
     n_eff = resolved.n_effective
     z = z_statistic(value, n_eff, resolved.c, calibration)
     return DependenceEstimate(
@@ -311,7 +345,7 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     if n < 2:
         raise ValueError("need at least 2 observations")
     counts = rank_counts(y)
-    theta2 = _dispersion_sum(counts.R, n) / n**3
+    theta2 = _dispersion_sums(counts.R, n)[0] / n**3
     if theta2 == 0.0:
         raise DegenerateResponse("response is constant")
     # With u = F(y) sorted ascending, min(u_j, u_l) = u_j for j < l, so the

@@ -113,6 +113,10 @@ class ThresholdRule:
         elif self.kind == RULE_HARD_LEVEL:
             if self.level is None:
                 raise ConfigError("hard-level rule needs a level")
+            if not math.isfinite(self.level):
+                raise ConfigError(
+                    f"hard-level rule needs a finite level, got {self.level}"
+                )
         elif self.kind in ADJUSTMENTS:
             FdrConfig(q=self.q, adjustment=self.kind)  # validates q
         else:

@@ -5,9 +5,11 @@ by the resulting utilities, and provides the selection rules built on that
 ranking (fixed-size and fixed-level thresholds) plus the ranking diagnostics
 used by the simulation studies.
 
-Column k draws its trimming/tie randomness from a seed derived as
-hash(master_seed, k), so results are identical for any worker count and any
-chunking of the columns.
+Each worker walks its span of columns in blocks of about BLOCK_CELLS cells
+and hands each block to one batched kernel.  Column k's trimming and
+tie-break randomness comes from the seed hash(master_seed, k), drawn only
+when the column needs it (trimming, or ties among its values), so results
+are identical for any worker count and any chunking of the columns.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from .errors import (
 from .estimator import (
     SliceConfig,
     VarianceCalibration,
-    _combine,
-    _dispersion_sum,
-    _within_slice_rank_spread,
+    _omega_block,
     auto_calibration,
     p_value_from_z,
     rank_counts,
@@ -38,6 +38,10 @@ from .estimator import (
 from .seeding import derive_seed, rng_from_seed
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
+
+# Cells per kernel call (8 columns at n = 1024): 64 KB per working array, so
+# each thread's working set stays near 1 MB and peak memory barely moves.
+BLOCK_CELLS = 2**13
 
 RULE_HARD_SIZE = "hard-size"
 RULE_HARD_LEVEL = "hard-level"
@@ -142,35 +146,6 @@ class Selection:
         return int(self.selected.shape[0])
 
 
-def _column_omega(xk, y, seed, c, H, n_raw, shared):
-    """Statistic for one covariate column; mirrors the single-pair kernel.
-
-    ``shared`` carries (r_base, den) precomputed from the full response when
-    no trimming is needed; with trimming, counts are recomputed against the
-    column's own kept subsample.
-    """
-    rng = rng_from_seed(seed)
-    n_eff = H * c
-    if shared is not None:
-        r_base, den = shared
-        u = rng.random(n_raw)
-        order = np.lexsort((u, xk))
-        r_sliced = r_base[order]
-    else:
-        drop = rng.choice(n_raw, size=n_raw - n_eff, replace=False)
-        keep = np.setdiff1d(np.arange(n_raw), drop)
-        xk = xk[keep]
-        u = rng.random(n_eff)
-        order = np.lexsort((u, xk))
-        counts = rank_counts(y[keep])
-        den = _dispersion_sum(counts.R, n_eff)
-        if den == 0:
-            raise DegenerateResponse("response is constant after trimming")
-        r_sliced = counts.r[order]
-    num = _within_slice_rank_spread(r_sliced, H, c)
-    return _combine(num, den, n_eff, c)
-
-
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: explicit request, capped by SIT_SCREEN_THREADS if set."""
     cap = os.environ.get(THREADS_ENV_VAR)
@@ -210,35 +185,24 @@ def screen_all(
 
     resolved = config.resolved(data.n)
     c, H = resolved.c, resolved.H
-    n_eff = resolved.n_effective
-    if n_eff != data.n:
-        shared = None
-    else:
-        counts = rank_counts(y)
-        den = _dispersion_sum(counts.R, n_eff)
-        shared = (counts.r, den)
-
+    counts = rank_counts(y)
     p = data.p
-    seeds = [derive_seed(config.tie_seed, k) for k in range(p)]
+    step = max(1, BLOCK_CELLS // data.n)
     omega = np.empty(p, dtype=np.float64)
 
-    def work(span):
-        start, stop = span
-        for k in range(start, stop):
-            omega[k] = _column_omega(data.x[:, k], y, seeds[k], c, H, data.n, shared)
+    def work(start, stop):
+        for lo in range(start, stop, step):
+            block = np.ascontiguousarray(data.x[:, lo : min(lo + step, stop)].T)
+            omega[lo : lo + len(block)] = _omega_block(
+                block, counts, lambda j: derive_seed(config.tie_seed, lo + j), c, H
+            )
 
-    n_threads = min(resolve_threads(threads), p)
-    if n_threads > 1:
-        bounds = np.linspace(0, p, n_threads + 1).astype(int)
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for _ in pool.map(work, spans):
-                pass
-    else:
-        work((0, p))
+    bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        list(pool.map(work, bounds[:-1], bounds[1:]))
 
     # same association as z_statistic so per-column results match bitwise
-    z = np.sqrt(n_eff * (c - 1)) * omega / calibration.sigma
+    z = np.sqrt(resolved.n_effective * (c - 1)) * omega / calibration.sigma
     p_values = p_value_from_z(z)
     order = np.lexsort((np.arange(p), -omega))
     return ScreeningResult(

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sitscreen
 from sitscreen.cli import auto_slice_size, default_hard_size, main
 
 
@@ -87,6 +90,30 @@ class TestScreen:
         # hard-level without --level is a config error
         assert run_cli(["screen", "--input", csv_path, "--response", "y",
                         "--rule", "hard-level"]) == 4
+
+    @pytest.mark.parametrize("level", ["inf", "-inf"])
+    def test_hard_level_infinite_is_config_error(self, tmp_path, capsys, level):
+        csv_path = signal_csv(tmp_path)
+        out = tmp_path / "report.json"
+        code = run_cli(["screen", "--input", csv_path, "--response", "y",
+                        "--rule", "hard-level", f"--level={level}",
+                        "--output", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"hard-level rule needs a finite level, got {level}" in err
+        assert "JSON" not in err
+        assert not out.exists()
+
+    def test_hard_level_above_every_omega_selects_nothing(self, tmp_path):
+        csv_path = signal_csv(tmp_path)
+        out = tmp_path / "report.json"
+        code = run_cli(["screen", "--input", csv_path, "--response", "y",
+                        "--rule", "hard-level", "--level", "2",
+                        "--output", str(out)])
+        assert code == 0
+        report = load(out)
+        assert report["threshold"]["realized_threshold"] == 2.0
+        assert not any(r["selected"] for r in report["covariates"])
 
     def test_plot_data_rows(self, tmp_path):
         csv_path = signal_csv(tmp_path)
@@ -272,10 +299,14 @@ def test_console_entry_point(tmp_path):
     x = rng.standard_normal((64, 5))
     y = x[:, 0] + 0.5 * rng.standard_normal(64)
     csv_path = write_csv(tmp_path / "cli.csv", x, y)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(sitscreen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sitscreen.cli", "screen", "--input", csv_path,
          "--response", "y", "--rule", "hard-size", "--d", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

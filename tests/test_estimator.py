@@ -67,6 +67,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SliceConfig(c=2, remainder_policy="pad")
 
+    def test_spread_sum_bound(self):
+        # n_effective * c * n is exactly 2**64 here; nothing is allocated
+        with pytest.raises(ConfigError, match=r"n=4194304 with c=1048576.*2\*\*64"):
+            SliceConfig(c=2**20).resolved(2**22)
+        # the largest n for this c below the bound: n_effective = 3 * 2**20
+        assert SliceConfig(c=2**20).resolved(2**22 - 1).H == 3
+
     def test_trim_keeps_multiple_of_c(self):
         sample = PairedSample(np.arange(11.0), np.arange(11.0))
         y_sliced, resolved = arrange_by_covariate(sample, SliceConfig(c=4, tie_seed=9))

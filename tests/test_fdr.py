@@ -158,6 +158,11 @@ class TestThresholdRule:
         with pytest.raises(ConfigError):
             ThresholdRule(kind="hard-level")
 
+    @pytest.mark.parametrize("level", [np.inf, -np.inf, np.nan])
+    def test_hard_level_needs_finite_level(self, level):
+        with pytest.raises(ConfigError, match="finite level"):
+            ThresholdRule(kind="hard-level", level=level)
+
     @pytest.mark.parametrize("rule, select", [
         (ThresholdRule(kind="hard-level", level=0.3),
          lambda r: level_threshold_select(r, 0.3)),

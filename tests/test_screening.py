@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sitscreen import (
     AllColumnsConstant,
@@ -16,10 +18,11 @@ from sitscreen import (
     hard_threshold_select,
     level_threshold_select,
     minimum_model_size,
+    oracle_estimate,
     screen_all,
     sliced_estimate,
 )
-from sitscreen.screening import resolve_threads
+from sitscreen.screening import BLOCK_CELLS, resolve_threads
 
 
 def make_result(omega_like, n=64, c=2, seed=0):
@@ -239,3 +242,84 @@ def test_resolve_threads_env_cap(monkeypatch):
     assert resolve_threads(1) == 1
     monkeypatch.delenv("SIT_SCREEN_THREADS")
     assert resolve_threads(3) == 3
+
+
+def _column(rng, kind, n):
+    if kind == "tie-free":
+        return rng.standard_normal(n)
+    if kind == "integers":
+        return rng.integers(-2, 3, n).astype(float)
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, 1.0], n)
+    return np.full(n, 1.5)  # constant
+
+
+KINDS = ("tie-free", "integers", "signed-zeros", "constant")
+
+
+@st.composite
+def block_datasets(draw):
+    """More columns than one kernel block, with tied columns past each boundary."""
+    n = draw(st.integers(33, 64))
+    c = draw(st.sampled_from([2, 3, 4, 8]))
+    step = BLOCK_CELLS // n
+    p = step + draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(KINDS, p)
+    kinds[[0, step - 1, step, p - 1]] = draw(
+        st.lists(st.sampled_from(KINDS[1:]), min_size=4, max_size=4)
+    )
+    x = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    if draw(st.booleans()):
+        y = rng.standard_normal(n)
+    else:
+        # each value appears at least 8 times; trimming drops at most 7 rows
+        y = rng.permutation(np.arange(n) % 4).astype(float)
+    return x, y, c, seed, step
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(block_datasets())
+def test_block_kernel_matches_single_column_paths(instance):
+    x, y, c, master, step = instance
+    data = Dataset(x, y)
+    config = SliceConfig(c=c, tie_seed=master)
+    result = screen_all(data, config, threads=1)
+    for threads in (2, 8):
+        other = screen_all(data, config, threads=threads)
+        assert other.omega.tobytes() == result.omega.tobytes()
+        assert other.z.tobytes() == result.z.tobytes()
+        assert other.p_values.tobytes() == result.p_values.tobytes()
+    for k in range(data.p):
+        single = sliced_estimate(
+            PairedSample(x[:, k], y),
+            SliceConfig(c=c, tie_seed=derive_seed(master, k)),
+            calibration=result.calibration,
+        )
+        assert (result.omega[k], result.z[k], result.p_values[k]) == (
+            single.omega_hat, single.z, single.p_value
+        )
+    sampled = np.random.default_rng(master).integers(0, data.p, 4)
+    for k in {0, step - 1, step, data.p - 1, *sampled}:
+        column = SliceConfig(c=c, tie_seed=derive_seed(master, k))
+        assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
+
+
+def test_tie_detection_decides_the_bits():
+    # -0.0 and 0.0 compare equal, so this column's order needs its tie-break
+    # keys; the bare argsort order gives different bits.  It sits first in
+    # the second kernel block.
+    n, c, master = 8, 2, 0
+    step = BLOCK_CELLS // n
+    tied = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 0.0, -0.0])
+    y = np.array([3.0, 1, 4, 1, 5, 9, 2, 6])
+    x = np.random.default_rng(1).standard_normal((n, step + 1))
+    x[:, step] = tied
+    result = screen_all(Dataset(x, y), SliceConfig(c=c, tie_seed=master))
+    column = SliceConfig(c=c, tie_seed=derive_seed(master, step))
+    untied = np.empty(n)
+    untied[np.argsort(tied)] = np.arange(n)
+    expected = oracle_estimate(PairedSample(tied, y), column)
+    assert result.omega[step] == expected
+    assert oracle_estimate(PairedSample(untied, y), column) != expected
