@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ConfigError, DegenerateData, InputError, SitScreenError
+from .errors import ConfigError, InputError, SitScreenError
 from .estimator import (
     SliceConfig,
     VarianceCalibration,
@@ -30,10 +30,10 @@ from .estimator import (
 from .fdr import ThresholdRule
 from .io import ingest_csv
 from .reports import (
+    REPLICATION_CSV_HEADER,
     augment_report,
     dump_json,
     plot_data_lines,
-    replication_csv_header,
     replication_csv_rows,
     screen_report,
     simulation_report_dict,
@@ -49,11 +49,6 @@ from .screening import (
 )
 from .seeding import DEFAULT_MASTER_SEED, derive_seed
 from .simlab import DesignSpec, ModelSpec, run_study
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DEGENERATE = 3
-EXIT_CONFIG = 4
 
 # Presets matching the three study layouts of the simulation suite.
 STUDY_PRESETS = {
@@ -81,14 +76,18 @@ def default_hard_size(n: int, p: int) -> int:
     return max(1, min(int(n / math.log(n)), p))
 
 
-def _parse_slice_size(text: str) -> int | str:
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(f"--c must be an integer or 'auto', got {text!r}") from None
-    return value
+class _SliceSize(argparse.Action):
+    # Not a type= converter: argparse rewrites a ValueError raised there,
+    # ConfigError included, into its own generic message.
+    def __call__(self, parser, namespace, text, option_string=None):
+        if text != "auto":
+            try:
+                text = int(text)
+            except ValueError:
+                raise ConfigError(
+                    f"--c must be an integer or 'auto', got {text!r}"
+                ) from None
+        setattr(namespace, self.dest, text)
 
 
 def build_parser() -> _Parser:
@@ -108,7 +107,7 @@ def build_parser() -> _Parser:
                             help="response column: a name, or #k for 0-based index k")
     csv_common.add_argument("--standardize", action="store_true",
                             help="center and scale covariates before screening")
-    csv_common.add_argument("--c", type=_parse_slice_size, default="auto",
+    csv_common.add_argument("--c", action=_SliceSize, default="auto",
                             help="observations per slice, or 'auto' (default)")
     csv_common.add_argument("--sigma", choices=("auto", "fixed", "plugin"),
                             default="auto", help="variance calibration mode")
@@ -204,16 +203,14 @@ def cmd_screen(args) -> int:
         result, selection, selection.selected, data.names, effective,
         timing_seconds=time.perf_counter() - started,
     )
-    text = dump_json(report, args.output)
-    if args.output == "-":
-        print(text)
+    dump_json(report, args.output)
     if args.plot_data:
         lines = plot_data_lines(
             result, selection.selected, data.names, selection.realized_threshold
         )
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return 0
 
 
 def _simulate_settings(args):
@@ -246,7 +243,7 @@ def cmd_simulate(args) -> int:
     per_rep_fh = None
     if args.per_rep:
         per_rep_fh = open(args.per_rep, "w", encoding="utf-8")
-        per_rep_fh.write(replication_csv_header() + "\n")
+        per_rep_fh.write(REPLICATION_CSV_HEADER + "\n")
 
         def hook(outcome):
             for row in replication_csv_rows(outcome):
@@ -276,10 +273,8 @@ def cmd_simulate(args) -> int:
     payload = simulation_report_dict(
         report, effective, timing_seconds=time.perf_counter() - started
     )
-    text = dump_json(payload, args.output)
-    if args.output == "-":
-        print(text)
-    return EXIT_OK
+    dump_json(payload, args.output)
+    return 0
 
 
 def cmd_augment_check(args) -> int:
@@ -327,10 +322,8 @@ def cmd_augment_check(args) -> int:
         effective,
         timing_seconds=time.perf_counter() - started,
     )
-    text = dump_json(payload, args.output)
-    if args.output == "-":
-        print(text)
-    return EXIT_OK
+    dump_json(payload, args.output)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -342,18 +335,12 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_augment_check(args)
-    except (InputError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateData as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except SitScreenError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return err.exit_code
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return InputError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,17 +1,23 @@
 """Exception hierarchy for the sitscreen package.
 
-Every error raised by the library derives from :class:`SitScreenError`, so
-callers (notably the CLI) can map failures onto exit codes without chasing
-bare ``ValueError``s through the stack.
+Every library error derives from :class:`SitScreenError` and carries the CLI
+exit code of its family in ``exit_code``: :class:`InputError` 2 (data files,
+selectors), :class:`DegenerateData` 3 (data the statistic cannot use) and
+:class:`ConfigError` 4 (invalid parameters; also a ``ValueError``).  The CLI
+maps an ``OSError`` to 2; any other exception is a bug and surfaces as one.
 """
 
 
 class SitScreenError(Exception):
     """Base class for all sitscreen errors."""
 
+    exit_code = 4
+
 
 class InputError(SitScreenError):
     """Problems with user-supplied data files (CSV parsing, selectors)."""
+
+    exit_code = 2
 
 
 class ParseError(InputError):
@@ -33,6 +39,8 @@ class EmptyData(InputError):
 class DegenerateData(SitScreenError):
     """Data that is structurally unusable for the statistic."""
 
+    exit_code = 3
+
 
 class DegenerateResponse(DegenerateData):
     """The response carries no usable variation (constant, or effectively so)."""
@@ -46,8 +54,10 @@ class AllColumnsConstant(DegenerateData):
     """Every covariate column is constant; screening would be meaningless."""
 
 
-class ConfigError(SitScreenError):
+class ConfigError(SitScreenError, ValueError):
     """Invalid configuration values (slice size, FDR level, rule parameters)."""
+
+    exit_code = 4
 
 
 class InvalidCalibration(ConfigError):

@@ -47,29 +47,24 @@ from .seeding import rng_from_seed
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
 
-TRIM_RANDOM = "trim-random"
-
 
 @dataclass(frozen=True)
 class SliceConfig:
     """Slicing layout: c observations per slice, seeded tie handling.
 
     ``H`` is the slice count; it is unset until the configuration has been
-    resolved against a concrete sample size (see :meth:`resolved`).  The
-    remainder policy discards ``n mod c`` observations chosen uniformly at
-    random before ordering, so the effective sample size is always H * c.
+    resolved against a concrete sample size (see :meth:`resolved`).  Before
+    ordering, ``n mod c`` observations are always discarded, chosen uniformly
+    at random from ``tie_seed``, so the effective sample size is H * c.
     """
 
     c: int
     tie_seed: int = 0
-    remainder_policy: str = TRIM_RANDOM
     H: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.c, (int, np.integer)) or self.c < 2:
             raise ConfigError(f"slice size c must be an integer >= 2, got {self.c!r}")
-        if self.remainder_policy != TRIM_RANDOM:
-            raise ConfigError(f"unknown remainder policy {self.remainder_policy!r}")
         if not (0 <= int(self.tie_seed) < 2**64):
             raise ConfigError("tie_seed must fit in 64 bits")
         if self.H is not None and self.H < 1:
@@ -106,13 +101,13 @@ class PairedSample:
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:
-            raise ValueError("x and y must be one-dimensional")
+            raise ConfigError("x and y must be one-dimensional")
         if x.shape[0] != y.shape[0]:
-            raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+            raise ConfigError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
         if x.shape[0] < 4:
-            raise ValueError("need at least 4 paired observations")
+            raise ConfigError("need at least 4 paired observations")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("all values must be finite")
+            raise ConfigError("all values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -319,7 +314,8 @@ def sliced_estimate(
 def z_statistic(
     estimate_value: float, n_effective: int, c: int, cal: VarianceCalibration
 ) -> float:
-    """Scale a statistic value to its asymptotic standard-normal z score."""
+    """Scale a statistic value (or an array of them) to its asymptotic
+    standard-normal z score."""
     if c < 2:
         raise ConfigError(f"slice size c must be >= 2, got {c}")
     if not (cal.sigma_sq > 0):
@@ -343,7 +339,7 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 observations")
+        raise ConfigError("need at least 2 observations")
     counts = rank_counts(y)
     theta2 = _dispersion_sums(counts.R, n)[0] / n**3
     if theta2 == 0.0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonPositiveThreshold
-from .estimator import p_value_from_z
+from .estimator import p_value_from_z, z_statistic
 from .screening import (
     RULE_BH,
     RULE_BY,
@@ -144,8 +144,8 @@ def fdp_hat(t: float, result: ScreeningResult, config: FdrConfig) -> float:
     if not (t > 0.0):
         raise NonPositiveThreshold(f"threshold must be positive, got {t}")
     harmonic = harmonic_number(result.p) if config.adjustment == RULE_BY else 1.0
-    scale = math.sqrt(result.n_effective * (result.config.c - 1))
-    tail = float(p_value_from_z(scale * t / result.calibration.sigma))
+    z = z_statistic(t, result.n_effective, result.config.c, result.calibration)
+    tail = float(p_value_from_z(z))
     count = int(np.count_nonzero(result.omega >= t))
     return harmonic * result.p * tail / max(count, 1)
 

@@ -40,8 +40,16 @@ def ingest_csv(path, response_selector: str, standardize: bool = False) -> Datas
 
     ``standardize`` centers and scales each covariate column to zero mean
     and unit sample variance (ddof=1); constant columns are only centered.
-    Parse failures name the offending cell by row number and column name.
+    Parse failures, undecodable bytes included, raise :class:`ParseError`;
+    a bad cell is named by row number and column name.
     """
+    try:
+        return _ingest(path, response_selector, standardize)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise ParseError(f"{path}: {err}") from None
+
+
+def _ingest(path, response_selector: str, standardize: bool) -> Dataset:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

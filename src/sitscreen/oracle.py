@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateResponse
+from .errors import ConfigError, DegenerateResponse
 from .estimator import PairedSample, SliceConfig, arrange_by_covariate
 
 
@@ -65,7 +65,7 @@ def oracle_threshold(
     elif adjustment == "bh":
         harmonic = 1.0
     else:
-        raise ValueError(f"unknown adjustment {adjustment!r}")
+        raise ConfigError(f"unknown adjustment {adjustment!r}")
 
     qualifying = []
     for k in range(p):

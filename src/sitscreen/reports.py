@@ -13,6 +13,7 @@ CSV they appear as ``inf`` (readable by numpy and pandas).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -23,27 +24,7 @@ from .simlab import SimulationReport
 
 SCHEMA_VERSION = 1
 
-
-def _finite_or_none(value: float):
-    return float(value) if math.isfinite(value) else None
-
-
-def calibration_dict(calibration) -> dict:
-    return {
-        "mode": calibration.mode,
-        "sigma_sq": calibration.sigma_sq,
-        "theta1": calibration.theta1,
-        "theta2": calibration.theta2,
-    }
-
-
-def threshold_dict(outcome: Selection) -> dict:
-    return {
-        "rule": outcome.rule,
-        "realized_threshold": _finite_or_none(outcome.realized_threshold),
-        "num_selected": outcome.num_selected,
-        "harmonic_constant": outcome.harmonic_constant,
-    }
+REPLICATION_CSV_HEADER = "rep,rule,model_size,fdp,all_active,mms"
 
 
 def screen_report(
@@ -56,6 +37,7 @@ def screen_report(
 ) -> dict:
     """Full screening report: one record per covariate, sorted by rank."""
     ranks = result.ranks()
+    threshold = float(outcome.realized_threshold)
     selected_mask = np.zeros(result.p, dtype=bool)
     selected_mask[np.asarray(selected, dtype=np.intp)] = True
     records = []
@@ -76,8 +58,13 @@ def screen_report(
         "schema_version": SCHEMA_VERSION,
         "command": "screen",
         "config": effective_config,
-        "calibration": calibration_dict(result.calibration),
-        "threshold": threshold_dict(outcome),
+        "calibration": dataclasses.asdict(result.calibration),
+        "threshold": {
+            "rule": outcome.rule,
+            "realized_threshold": threshold if math.isfinite(threshold) else None,
+            "num_selected": outcome.num_selected,
+            "harmonic_constant": outcome.harmonic_constant,
+        },
         "covariates": records,
         "timing": {"seconds": timing_seconds},
     }
@@ -144,10 +131,6 @@ def augment_report(
     }
 
 
-def replication_csv_header() -> str:
-    return "rep,rule,model_size,fdp,all_active,mms"
-
-
 def replication_csv_rows(outcome) -> list[str]:
     rows = []
     for label in outcome.selections:
@@ -159,9 +142,11 @@ def replication_csv_rows(outcome) -> list[str]:
 
 
 def dump_json(payload: dict, path: str | None) -> str:
-    """Serialize with sorted keys; write to ``path`` unless it is ``-``."""
+    """Serialize with sorted keys; write to ``path``, print it for ``-``."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if path is not None and path != "-":
+    if path == "-":
+        print(text)
+    elif path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text

@@ -34,6 +34,7 @@ from .estimator import (
     auto_calibration,
     p_value_from_z,
     rank_counts,
+    z_statistic,
 )
 from .seeding import derive_seed, rng_from_seed
 
@@ -65,19 +66,19 @@ class Dataset:
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if x.ndim != 2:
-            raise ValueError("covariates must form a 2-D matrix")
+            raise ConfigError("covariates must form a 2-D matrix")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError("response length must match the number of rows")
+            raise ConfigError("response length must match the number of rows")
         if x.shape[0] < 1 or x.shape[1] < 1:
-            raise ValueError("need at least one row and one column")
+            raise ConfigError("need at least one row and one column")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("all entries must be finite")
+            raise ConfigError("all entries must be finite")
         if self.names is not None:
             names = tuple(str(v) for v in self.names)
             if len(names) != x.shape[1]:
-                raise ValueError("names must list one label per covariate")
+                raise ConfigError("names must list one label per covariate")
             if len(set(names)) != len(names):
-                raise ValueError("covariate names must be unique")
+                raise ConfigError("covariate names must be unique")
             object.__setattr__(self, "names", names)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -174,7 +175,7 @@ def screen_all(
     called on that column alone.  Results do not depend on ``threads``.
     """
     if data.n < 4:
-        raise ValueError("need at least 4 observations to screen")
+        raise ConfigError("need at least 4 observations to screen")
     y = data.y
     if np.all(y == y[0]):
         raise DegenerateResponse("response is constant")
@@ -201,8 +202,7 @@ def screen_all(
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         list(pool.map(work, bounds[:-1], bounds[1:]))
 
-    # same association as z_statistic so per-column results match bitwise
-    z = np.sqrt(resolved.n_effective * (c - 1)) * omega / calibration.sigma
+    z = z_statistic(omega, resolved.n_effective, c, calibration)
     p_values = p_value_from_z(z)
     order = np.lexsort((np.arange(p), -omega))
     return ScreeningResult(
@@ -244,7 +244,7 @@ def minimum_model_size(result: ScreeningResult, active) -> int:
     if active.size == 0:
         raise EmptyActiveSet("active set must be non-empty")
     if active.min() < 0 or active.max() >= result.p:
-        raise ValueError("active indices outside [0, p)")
+        raise ConfigError("active indices outside [0, p)")
     return int(result.ranks()[active].max())
 
 
@@ -260,15 +260,15 @@ def augment_with_noise(
     """
     keep = np.asarray(sorted(int(k) for k in keep), dtype=np.intp)
     if keep.size and (keep.min() < 0 or keep.max() >= data.p):
-        raise ValueError("keep indices outside [0, p)")
+        raise ConfigError("keep indices outside [0, p)")
     if num_aux < 0:
-        raise ValueError("num_aux must be >= 0")
+        raise ConfigError("num_aux must be >= 0")
     rng = rng_from_seed(seed)
     blocks = [data.x[:, keep]] if keep.size else []
     if num_aux:
         blocks.append(rng.standard_normal((data.n, num_aux)))
     if not blocks:
-        raise ValueError("augmented dataset would have no columns")
+        raise ConfigError("augmented dataset would have no columns")
     x = np.hstack(blocks)
     names = None
     if data.names is not None:

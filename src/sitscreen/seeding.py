@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Fixed master seed used by the CLI when --seed is not given (never time-based).
 DEFAULT_MASTER_SEED = 42
 
@@ -17,6 +19,9 @@ DEFAULT_MASTER_SEED = 42
 def derive_seed(*parts: int) -> int:
     """Hash a tuple of non-negative integers into a fresh 64-bit seed."""
     entropy = tuple(int(p) for p in parts)
+    for part in entropy:
+        if part < 0:
+            raise ConfigError(f"seeds must be non-negative integers, got {part}")
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 

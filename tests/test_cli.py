@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sitscreen
+from sitscreen import errors
 from sitscreen.cli import auto_slice_size, default_hard_size, main
 
 
@@ -184,11 +186,12 @@ class TestExitCodes:
                         "--rule", "by", "--q", "1.5"])
         assert code == 4
 
-    def test_bad_flag_value(self, tmp_path):
+    def test_bad_flag_value(self, tmp_path, capsys):
         csv_path = signal_csv(tmp_path)
         code = run_cli(["screen", "--input", csv_path, "--response", "y",
                         "--c", "one"])
         assert code == 4
+        assert "--c must be an integer or 'auto', got 'one'" in capsys.readouterr().err
 
     def test_bad_thread_cap(self, tmp_path, monkeypatch, capsys):
         csv_path = signal_csv(tmp_path)
@@ -205,6 +208,61 @@ class TestExitCodes:
         code = run_cli(["screen", "--input", path, "--response", "y",
                         "--c", "4"])
         assert code == 3
+
+    def test_directory_input(self, tmp_path, capsys):
+        code = run_cli(["screen", "--input", str(tmp_path), "--response", "y"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_undecodable_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\ncaf\xe9,1\n".encode("latin-1"))
+        assert run_cli(["screen", "--input", str(path), "--response", "y"]) == 2
+        assert "latin1.csv: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        code = run_cli(["simulate", "--model", "a1", "--n", "64", "--p", "30",
+                        "--reps", "1", "--seed", "-1"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "seeds must be non-negative integers, got -1" in err
+
+
+# Every exception class the library defines, each with its documented code.
+SITSCREEN_ERRORS = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.SitScreenError)
+]
+FAMILY_CODES = {errors.InputError: 2, errors.DegenerateData: 3,
+                errors.ConfigError: 4}
+
+
+def _family_code(cls):
+    codes = [code for family, code in FAMILY_CODES.items() if issubclass(cls, family)]
+    assert len(codes) <= 1, f"{cls.__name__} sits in more than one family"
+    return codes[0] if codes else 4  # the base class maps to config error
+
+
+class TestErrorPath:
+    ARGV = ["screen", "--input", "unused.csv", "--response", "y"]
+
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug, not a config error")
+
+        monkeypatch.setattr("sitscreen.cli.cmd_screen", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(self.ARGV)
+
+    @pytest.mark.parametrize("cls", SITSCREEN_ERRORS, ids=lambda cls: cls.__name__)
+    def test_each_error_class_maps_to_its_family_code(self, monkeypatch, capsys, cls):
+        def failing(args):
+            raise cls("boom")
+
+        monkeypatch.setattr("sitscreen.cli.cmd_screen", failing)
+        assert main(self.ARGV) == _family_code(cls)
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestSimulate:

@@ -63,10 +63,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SliceConfig(c=1)
 
-    def test_bad_policy(self):
-        with pytest.raises(ConfigError):
-            SliceConfig(c=2, remainder_policy="pad")
-
     def test_spread_sum_bound(self):
         # n_effective * c * n is exactly 2**64 here; nothing is allocated
         with pytest.raises(ConfigError, match=r"n=4194304 with c=1048576.*2\*\*64"):

@@ -110,3 +110,16 @@ def test_bom_header_first_column_by_name(tmp_path):
     data = ingest_csv(str(path), "x0")
     assert np.array_equal(data.y, [1.0, 2.0, 3.0])
     assert data.names == ("x1", "y")
+
+
+def test_undecodable_bytes_are_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("x,y\ncaf\xe9,1\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=r"latin1\.csv: 'utf-8' codec"):
+        ingest_csv(str(path), "y")
+
+
+def test_oversized_field_is_a_parse_error(tmp_path):
+    path = write(tmp_path, 'x,y\n"' + "1" * 200_000 + '",1\n')
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        ingest_csv(path, "y")
