@@ -6,7 +6,8 @@ Three subcommands:
   simulate       run a replicated synthetic study, JSON report out
   augment-check  screen, replace unselected columns by noise, screen again
 
-Exit codes: 0 success, 2 input error, 3 degenerate data, 4 config error.
+Exit codes: 0 success, 1 closed stdout, 2 input error, 3 degenerate data,
+4 config error.
 Worker parallelism is capped by the SIT_SCREEN_THREADS environment variable;
 thread count never changes results.  The master seed defaults to the fixed
 constant 42 (never time-based) so runs are reproducible by default.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -27,7 +29,7 @@ from .estimator import (
     auto_calibration,
     plugin_calibration,
 )
-from .fdr import ThresholdRule
+from .fdr import RULE_BH, RULE_BY, RULE_HARD_LEVEL, RULE_HARD_SIZE, ThresholdRule
 from .io import ingest_csv
 from .reports import (
     REPLICATION_CSV_HEADER,
@@ -38,15 +40,7 @@ from .reports import (
     screen_report,
     simulation_report_dict,
 )
-from .screening import (
-    RULE_BH,
-    RULE_BY,
-    RULE_HARD_LEVEL,
-    RULE_HARD_SIZE,
-    Dataset,
-    augment_with_noise,
-    screen_all,
-)
+from .screening import Dataset, augment_with_noise, screen_all
 from .seeding import DEFAULT_MASTER_SEED, derive_seed
 from .simlab import DesignSpec, ModelSpec, run_study
 
@@ -242,10 +236,13 @@ def cmd_simulate(args) -> int:
     hook = None
     per_rep_fh = None
     if args.per_rep:
-        per_rep_fh = open(args.per_rep, "w", encoding="utf-8")
-        per_rep_fh.write(REPLICATION_CSV_HEADER + "\n")
-
+        # Opened on the first outcome, so a run that fails before any
+        # replication completes leaves no file behind.
         def hook(outcome):
+            nonlocal per_rep_fh
+            if per_rep_fh is None:
+                per_rep_fh = open(args.per_rep, "w", encoding="utf-8")
+                per_rep_fh.write(REPLICATION_CSV_HEADER + "\n")
             for row in replication_csv_rows(outcome):
                 per_rep_fh.write(row + "\n")
 
@@ -288,21 +285,24 @@ def cmd_augment_check(args) -> int:
         data, keep=selection.selected, num_aux=num_aux,
         seed=derive_seed(args.seed, 1),
     )
-    aug_result, aug_selection, _ = _screen_once(args, augmented_data, args.seed)
+    aug_result, aug_selection, aug_effective = _screen_once(
+        args, augmented_data, args.seed
+    )
 
     names = data.names
     kept_names = [names[int(k)] for k in selection.selected]
     aug_names = augmented_data.names
     reselected = [aug_names[int(k)] for k in aug_selection.selected]
     overlap = sorted(set(kept_names) & set(reselected))
-    effective["num_aux"] = int(num_aux)
+    effective["num_aux"] = aug_effective["num_aux"] = int(num_aux)
 
     original_report = screen_report(
         result, selection, selection.selected, names, effective,
         timing_seconds=0.0,
     )
     augmented_report = screen_report(
-        aug_result, aug_selection, aug_selection.selected, aug_names, effective,
+        aug_result, aug_selection, aug_selection.selected, aug_names,
+        aug_effective,
         timing_seconds=0.0,
     )
     for sub_report in (original_report, augmented_report):
@@ -330,14 +330,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "screen":
-            return cmd_screen(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_augment_check(args)
+        commands = {"screen": cmd_screen, "simulate": cmd_simulate,
+                    "augment-check": cmd_augment_check}
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return code
     except SitScreenError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except BrokenPipeError:
+        # The reader went away (``| head``): not an input error.  Point
+        # stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return InputError.exit_code

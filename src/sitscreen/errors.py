@@ -33,7 +33,7 @@ class NonNumericColumn(InputError):
 
 
 class EmptyData(InputError):
-    """The input file contains no data rows (or no header)."""
+    """The input file has no header, no data rows or no covariate column."""
 
 
 class DegenerateData(SitScreenError):

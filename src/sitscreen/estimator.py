@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -325,7 +325,7 @@ def z_statistic(
 
 def p_value_from_z(z) -> float:
     """Upper-tail p-value 1 - Phi(z); negative z gives p > 0.5, untruncated."""
-    return norm.sf(z)
+    return ndtr(-z)
 
 
 def plugin_calibration(y: np.ndarray) -> VarianceCalibration:

@@ -1,7 +1,11 @@
-"""Data-adaptive selection thresholds with false-discovery-rate control.
+"""Selection rules on a screening result: hard cuts and FDR thresholds.
 
-The threshold is the smallest positive statistic value t at which the
-estimated false-discovery proportion
+Every rule returns a :class:`Selection`.  ``hard-size`` keeps the top d
+covariates and ``hard-level`` those with a utility of at least a fixed
+level; :class:`ThresholdRule` is the one dispatcher over all four kinds.
+
+The data-adaptive threshold is the smallest positive statistic value t at
+which the estimated false-discovery proportion
 
     S(p) * p * (1 - Phi(z(t))) / max(#{k: omega_k >= t}, 1)
 
@@ -23,20 +27,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveThreshold
+from .errors import ConfigError, InvalidSize, NonPositiveThreshold
 from .estimator import p_value_from_z, z_statistic
-from .screening import (
-    RULE_BH,
-    RULE_BY,
-    RULE_HARD_LEVEL,
-    RULE_HARD_SIZE,
-    ScreeningResult,
-    Selection,
-    hard_threshold_select,
-    level_threshold_select,
-)
+from .screening import ScreeningResult
+
+RULE_HARD_SIZE = "hard-size"
+RULE_HARD_LEVEL = "hard-level"
+RULE_BY = "by"
+RULE_BH = "bh"
 
 ADJUSTMENTS = (RULE_BY, RULE_BH)
+
+
+@dataclass(frozen=True)
+class Selection:
+    """Outcome of a threshold rule: sorted selected indices, rule, threshold.
+
+    ``realized_threshold`` is +inf when an FDR rule selects nothing.
+    ``harmonic_constant`` is the FDR adjustment S(p) (1 for bh) and ``None``
+    for the hard rules.
+    """
+
+    selected: np.ndarray
+    rule: str
+    realized_threshold: float
+    harmonic_constant: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "selected", np.asarray(self.selected, dtype=np.intp)
+        )
+
+    @property
+    def num_selected(self) -> int:
+        return int(self.selected.shape[0])
+
+
+def hard_threshold_select(result: ScreeningResult, d: int) -> Selection:
+    """Keep the d covariates with the largest utilities (ties by index)."""
+    if not (1 <= d <= result.p):
+        raise InvalidSize(f"model size d={d} outside [1, {result.p}]")
+    top = result.order[:d]
+    return Selection(
+        selected=np.sort(top),
+        rule=RULE_HARD_SIZE,
+        realized_threshold=float(result.omega[result.order[d - 1]]),
+    )
+
+
+def level_threshold_select(result: ScreeningResult, threshold: float) -> Selection:
+    """Keep every covariate whose utility is at least ``threshold``."""
+    if np.isnan(threshold):
+        raise ConfigError("threshold must not be NaN")
+    return Selection(
+        selected=np.flatnonzero(result.omega >= threshold),
+        rule=RULE_HARD_LEVEL,
+        realized_threshold=float(threshold),
+    )
 
 
 def harmonic_number(p: int) -> float:

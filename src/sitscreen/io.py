@@ -61,6 +61,8 @@ def _ingest(path, response_selector: str, standardize: bool) -> Dataset:
         if len(set(header)) != len(header):
             raise ParseError(f"{path}: duplicate column names in header")
         response_idx = resolve_response(header, response_selector)
+        if len(header) < 2:
+            raise EmptyData(f"{path}: no covariate column besides the response")
 
         rows = []
         for row_number, row in enumerate(reader, start=2):

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .screening import ScreeningResult, Selection
+from .fdr import Selection
+from .screening import ScreeningResult
 from .simlab import SimulationReport
 
 SCHEMA_VERSION = 1

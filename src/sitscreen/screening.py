@@ -1,9 +1,10 @@
 """Marginal screening of a covariate matrix against a response.
 
-Applies the sliced dependence statistic column by column, ranks covariates
-by the resulting utilities, and provides the selection rules built on that
-ranking (fixed-size and fixed-level thresholds) plus the ranking diagnostics
-used by the simulation studies.
+Applies the sliced dependence statistic column by column and ranks
+covariates by the resulting utilities; the selection rules built on that
+ranking live in :mod:`sitscreen.fdr`.  Also holds the ranking diagnostic
+(minimum model size) and the noise augmentation used by the simulation
+studies and the stability check.
 
 Each worker walks its span of columns in blocks of about BLOCK_CELLS cells
 and hands each block to one batched kernel.  Column k's trimming and
@@ -25,7 +26,6 @@ from .errors import (
     ConfigError,
     DegenerateResponse,
     EmptyActiveSet,
-    InvalidSize,
 )
 from .estimator import (
     SliceConfig,
@@ -43,12 +43,6 @@ THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 # Cells per kernel call (8 columns at n = 1024): 64 KB per working array, so
 # each thread's working set stays near 1 MB and peak memory barely moves.
 BLOCK_CELLS = 2**13
-
-RULE_HARD_SIZE = "hard-size"
-RULE_HARD_LEVEL = "hard-level"
-RULE_BY = "by"
-RULE_BH = "bh"
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -123,30 +117,6 @@ class ScreeningResult:
         return ranks
 
 
-@dataclass(frozen=True)
-class Selection:
-    """Outcome of a threshold rule: sorted selected indices, rule, threshold.
-
-    ``realized_threshold`` is +inf when an FDR rule selects nothing.
-    ``harmonic_constant`` is the FDR adjustment S(p) (1 for bh) and ``None``
-    for the hard rules.
-    """
-
-    selected: np.ndarray
-    rule: str
-    realized_threshold: float
-    harmonic_constant: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "selected", np.asarray(self.selected, dtype=np.intp)
-        )
-
-    @property
-    def num_selected(self) -> int:
-        return int(self.selected.shape[0])
-
-
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: explicit request, capped by SIT_SCREEN_THREADS if set."""
     cap = os.environ.get(THREADS_ENV_VAR)
@@ -212,29 +182,6 @@ def screen_all(
         order=order,
         config=resolved,
         calibration=calibration,
-    )
-
-
-def hard_threshold_select(result: ScreeningResult, d: int) -> Selection:
-    """Keep the d covariates with the largest utilities (ties by index)."""
-    if not (1 <= d <= result.p):
-        raise InvalidSize(f"model size d={d} outside [1, {result.p}]")
-    top = result.order[:d]
-    return Selection(
-        selected=np.sort(top),
-        rule=RULE_HARD_SIZE,
-        realized_threshold=float(result.omega[result.order[d - 1]]),
-    )
-
-
-def level_threshold_select(result: ScreeningResult, threshold: float) -> Selection:
-    """Keep every covariate whose utility is at least ``threshold``."""
-    if np.isnan(threshold):
-        raise ConfigError("threshold must not be NaN")
-    return Selection(
-        selected=np.flatnonzero(result.omega >= threshold),
-        rule=RULE_HARD_LEVEL,
-        realized_threshold=float(threshold),
     )
 
 

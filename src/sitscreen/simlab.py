@@ -38,13 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IncompatibleDimensions, InvalidRho
-from .fdr import ThresholdRule, evaluate_selection  # noqa: F401 (ThresholdRule re-exported)
-from .screening import (
-    RULE_HARD_SIZE,
-    Dataset,
-    minimum_model_size,
-    screen_all,
-)
+# ThresholdRule is re-exported: simulation callers build their rules from here.
+from .fdr import RULE_HARD_SIZE, ThresholdRule, evaluate_selection  # noqa: F401
+from .screening import Dataset, minimum_model_size, screen_all
 from .estimator import SliceConfig
 from .seeding import derive_seed, rng_from_seed
 
@@ -361,7 +357,6 @@ def run_study(
     rules,
     reps: int,
     master_seed: int,
-    threads: int | None = None,
     outcome_hook=None,
 ) -> SimulationReport:
     """Run ``reps`` independent replications and aggregate the criteria.
@@ -379,7 +374,7 @@ def run_study(
         raise ConfigError("rule labels must be unique")
     outcomes = []
     for i in range(reps):
-        outcome = run_replication(design, model, c, rules, i, master_seed, threads)
+        outcome = run_replication(design, model, c, rules, i, master_seed)
         if outcome_hook is not None:
             outcome_hook(outcome)
         outcomes.append(outcome)

@@ -6,11 +6,14 @@ share one run each.  Wall times land in STUDY_TIMINGS for the acceptance
 suite's runtime targets.
 """
 
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sitscreen
 from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study
 
 STUDY1_SEED = 20103
@@ -18,6 +21,14 @@ STUDY2_SEED = 20202
 STUDY3_SEED = 20303
 
 STUDY_TIMINGS = {}
+
+
+@pytest.fixture
+def child_env():
+    """Environment whose child processes import the package under test."""
+    src = str(Path(sitscreen.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _timed(key, fn):

@@ -15,19 +15,17 @@ from scipy.stats import kstest
 
 from sitscreen import (
     Dataset,
-    DegenerateResponse,
     PairedSample,
     SliceConfig,
     VarianceCalibration,
     by_threshold,
     FdrConfig,
-    oracle_estimate,
-    oracle_threshold,
-    p_value_from_z,
-    plugin_calibration,
     screen_all,
     sliced_estimate,
 )
+from sitscreen.errors import DegenerateResponse
+from sitscreen.estimator import p_value_from_z, plugin_calibration
+from sitscreen.oracle import oracle_estimate, oracle_threshold
 from sitscreen.cli import main as cli_main
 from sitscreen.screening import ScreeningResult
 

@@ -221,6 +221,12 @@ class TestExitCodes:
         assert run_cli(["screen", "--input", str(path), "--response", "y"]) == 2
         assert "latin1.csv: 'utf-8' codec" in capsys.readouterr().err
 
+    def test_response_only_csv_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "only_y.csv"
+        path.write_text("y\n1\n2\n3\n4\n5\n", encoding="utf-8")
+        assert run_cli(["screen", "--input", str(path), "--response", "y"]) == 2
+        assert "only_y.csv: no covariate column" in capsys.readouterr().err
+
     def test_negative_seed(self, capsys):
         code = run_cli(["simulate", "--model", "a1", "--n", "64", "--p", "30",
                         "--reps", "1", "--seed", "-1"])
@@ -293,6 +299,17 @@ class TestSimulate:
         assert lines[0] == "rep,rule,model_size,fdp,all_active,mms"
         assert len(lines) == 1 + 4 * 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--model", "a1", "--n", "64", "--p", "20", "--reps", "0"],
+        ["--model", "b1", "--n", "64", "--p", "10", "--reps", "2"],
+    ])
+    def test_failed_run_leaves_no_per_rep_file(self, tmp_path, flags):
+        per_rep = tmp_path / "pr.csv"
+        code = run_cli(["simulate", *flags, "--per-rep", str(per_rep),
+                        "--output", str(tmp_path / "sim.json")])
+        assert code == 4
+        assert not per_rep.exists()
+
     def test_study_preset(self, tmp_path):
         out = tmp_path / "sim.json"
         code = run_cli(["simulate", "--study", "3", "--model", "c1",
@@ -318,6 +335,20 @@ class TestAugmentCheck:
         report = load(out)
         assert report["original"] == report["augmented"]
         assert report["overlap"]["retained_fraction"] == 1.0
+
+    def test_num_aux_config_echoes_augmented_p(self, tmp_path):
+        csv_path = signal_csv(tmp_path, p=30)
+        out = tmp_path / "aug.json"
+        code = run_cli(["augment-check", "--input", csv_path, "--response", "y",
+                        "--rule", "hard-size", "--d", "3", "--num-aux", "5",
+                        "--output", str(out)])
+        assert code == 0
+        report = load(out)
+        augmented = report["augmented"]
+        assert len(augmented["covariates"]) == 8
+        assert augmented["config"]["p"] == len(augmented["covariates"])
+        assert augmented["config"]["num_aux"] == 5
+        assert report["original"]["config"]["p"] == 30
 
     def test_strong_signal_selection_is_stable(self, tmp_path):
         stable = 0
@@ -369,3 +400,24 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["threshold"]["num_selected"] == 2
+
+
+def test_closed_stdout_exits_quietly(tmp_path, child_env):
+    # ~1000 covariate records make a report far larger than a pipe buffer,
+    # so the child is still writing when the reader goes away.
+    rng = np.random.default_rng(2)
+    csv_path = write_csv(tmp_path / "wide.csv", rng.standard_normal((16, 1000)),
+                         rng.standard_normal(16))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sitscreen.cli", "screen", "--input", csv_path,
+         "--response", "y"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=child_env,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    for marker in ("error:", "Traceback", "Exception ignored"):
+        assert marker not in err

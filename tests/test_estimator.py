@@ -6,23 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from sitscreen import (
+from sitscreen import PairedSample, SliceConfig, VarianceCalibration, sliced_estimate
+from sitscreen.errors import (
+    ConfigError,
     DegenerateResponse,
-    FIXED_SIGMA_SQ,
     InvalidCalibration,
-    PairedSample,
     SampleTooSmall,
-    SliceConfig,
-    VarianceCalibration,
+)
+from sitscreen.estimator import (
+    FIXED_SIGMA_SQ,
     arrange_by_covariate,
     auto_calibration,
     p_value_from_z,
     plugin_calibration,
     rank_counts,
-    sliced_estimate,
     z_statistic,
 )
-from sitscreen.errors import ConfigError
 
 
 def estimate_value(x, y, c, seed=0):
@@ -102,6 +101,20 @@ class TestZStatistic:
     def test_pvalue_matches_normal_cdf(self):
         for z in (-3.0, -0.5, 0.0, 0.7, 2.5):
             assert p_value_from_z(z) == pytest.approx(1 - norm.cdf(z), abs=1e-12)
+
+    def test_pvalue_is_norm_sf_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324],
+            np.linspace(-40.0, 40.0, 8001),
+            rng.standard_normal(5000) * 10.0,
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            -np.ldexp(1.0, np.arange(-1074, 1024)),
+        ])
+        assert p_value_from_z(z).tobytes() == norm.sf(z).tobytes()
+        for value in (0.0, -0.0, np.inf, -np.inf, 38.5, -38.5, 1.25):
+            assert np.float64(p_value_from_z(value)).tobytes() == \
+                np.float64(norm.sf(value)).tobytes()
 
 
 class TestPluginCalibration:

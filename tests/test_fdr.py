@@ -8,20 +8,21 @@ from scipy.stats import norm
 
 from sitscreen import (
     FdrConfig,
-    NonPositiveThreshold,
     SliceConfig,
     ThresholdRule,
     VarianceCalibration,
     by_threshold,
+    hard_threshold_select,
+)
+from sitscreen.errors import ConfigError, NonPositiveThreshold
+from sitscreen.estimator import p_value_from_z
+from sitscreen.fdr import (
     evaluate_selection,
     fdp_hat,
-    hard_threshold_select,
     harmonic_number,
     level_threshold_select,
-    oracle_threshold,
-    p_value_from_z,
 )
-from sitscreen.errors import ConfigError
+from sitscreen.oracle import oracle_threshold
 from sitscreen.screening import ScreeningResult
 
 

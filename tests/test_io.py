@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from sitscreen import (
-    EmptyData,
-    MissingResponse,
-    NonNumericColumn,
-    ParseError,
-    ingest_csv,
-    standardize_columns,
-)
+from sitscreen.errors import EmptyData, MissingResponse, NonNumericColumn, ParseError
+from sitscreen.io import ingest_csv, standardize_columns
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -76,6 +70,12 @@ def test_empty_file(tmp_path):
         ingest_csv(write(tmp_path, ""), "y")
     with pytest.raises(EmptyData):
         ingest_csv(write(tmp_path, "x,y\n"), "y")
+
+
+def test_response_only_is_empty_data(tmp_path):
+    path = write(tmp_path, "y\n1\n2\n3\n4\n5\n", name="only_y.csv")
+    with pytest.raises(EmptyData, match="only_y.csv: no covariate column"):
+        ingest_csv(path, "y")
 
 
 def test_standardize_moments(tmp_path):

@@ -3,14 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sitscreen import (
-    DegenerateResponse,
-    PairedSample,
-    SliceConfig,
-    oracle_estimate,
-    oracle_threshold,
-    sliced_estimate,
-)
+from sitscreen import PairedSample, SliceConfig, sliced_estimate
+from sitscreen.errors import DegenerateResponse
+from sitscreen.oracle import oracle_estimate, oracle_threshold
 
 
 def test_oracle_hand_values():

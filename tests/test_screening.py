@@ -4,25 +4,30 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sitscreen import (
-    AllColumnsConstant,
     Dataset,
-    DegenerateResponse,
-    EmptyActiveSet,
     FdrConfig,
-    InvalidSize,
     PairedSample,
     SliceConfig,
-    augment_with_noise,
     by_threshold,
-    derive_seed,
     hard_threshold_select,
-    level_threshold_select,
-    minimum_model_size,
-    oracle_estimate,
     screen_all,
     sliced_estimate,
 )
-from sitscreen.screening import BLOCK_CELLS, resolve_threads
+from sitscreen.errors import (
+    AllColumnsConstant,
+    DegenerateResponse,
+    EmptyActiveSet,
+    InvalidSize,
+)
+from sitscreen.fdr import level_threshold_select
+from sitscreen.oracle import oracle_estimate
+from sitscreen.screening import (
+    BLOCK_CELLS,
+    augment_with_noise,
+    minimum_model_size,
+    resolve_threads,
+)
+from sitscreen.seeding import derive_seed
 
 
 def make_result(omega_like, n=64, c=2, seed=0):

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from sitscreen import (
-    DesignSpec,
-    IncompatibleDimensions,
-    InvalidRho,
-    ModelSpec,
-    ThresholdRule,
+from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study
+from sitscreen.errors import ConfigError, IncompatibleDimensions, InvalidRho
+from sitscreen.simlab import (
+    aggregate,
     generate_design,
     generate_response,
-    run_study,
+    run_replication,
 )
-from sitscreen.errors import ConfigError
-from sitscreen.simlab import aggregate, run_replication
 
 
 class TestDesign:
