@@ -59,10 +59,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def auto_slice_size(n: int) -> int:
-    """Power of two nearest sqrt(n) from below: 2^floor(log2(n) / 2)."""
-    if n < 4:
-        raise ConfigError("need n >= 4 to choose a slice size")
-    return 2 ** ((n.bit_length() - 1) // 2)
+    """Power of two nearest sqrt(n) from below, 2^floor(log2(n) / 2), at
+    least 2; whether n is large enough is for ``SliceConfig.slices``."""
+    return max(2, 2 ** ((n.bit_length() - 1) // 2))
 
 
 def default_hard_size(n: int, p: int) -> int:
@@ -170,20 +169,21 @@ def _screen_once(args, data: Dataset, seed: int):
         level=args.level,
     )
     selection = rule.apply(result)
+    # Echo only the parameter the rule used, derived defaults included.
     effective = {
         "input": args.input,
         "response": args.response,
         "standardize": bool(args.standardize),
         "n": int(data.n),
         "p": int(data.p),
-        "c": int(result.config.c),
-        "H": int(result.config.H),
+        "c": int(c),
+        "H": int(result.n_effective // c),
         "n_effective": int(result.n_effective),
         "sigma_mode": args.sigma,
         "rule": args.rule,
-        "d": args.d,
-        "q": args.q if args.rule in (RULE_BY, RULE_BH) else None,
-        "level": args.level,
+        "d": rule.d if rule.kind == RULE_HARD_SIZE else None,
+        "q": rule.q if rule.kind in (RULE_BY, RULE_BH) else None,
+        "level": rule.level if rule.kind == RULE_HARD_LEVEL else None,
         "seed": int(seed),
     }
     return result, selection, effective
@@ -197,13 +197,21 @@ def cmd_screen(args) -> int:
         result, selection, selection.selected, data.names, effective,
         timing_seconds=time.perf_counter() - started,
     )
-    dump_json(report, args.output)
-    if args.plot_data:
-        lines = plot_data_lines(
-            result, selection.selected, data.names, selection.realized_threshold
-        )
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    if not args.plot_data:
+        dump_json(report, args.output)
+        return 0
+    lines = plot_data_lines(
+        result, selection.selected, data.names, selection.realized_threshold
+    )
+    # Opened first: a bad plot-data path must fail before any report exists.
+    with open(args.plot_data, "w", encoding="utf-8") as fh:
+        try:
+            dump_json(report, args.output)
+        except OSError:
+            fh.close()
+            os.remove(args.plot_data)  # nor may a failed report leave a CSV
+            raise
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -216,22 +224,20 @@ def _simulate_settings(args):
             return value
         return preset.get(name, fallback)
 
-    n = pick("n", 256)
-    p = pick("p", 1000)
-    rho = pick("rho", 0.5)
-    c = pick("c", auto_slice_size(n))
+    # The design validates n before the defaults derive c and d from it.
+    design = DesignSpec(n=pick("n", 256), p=pick("p", 1000), rho=pick("rho", 0.5))
+    c = pick("c", auto_slice_size(design.n))
     q = pick("q", 0.1)
-    d = pick("d", default_hard_size(n, p))
+    d = pick("d", default_hard_size(design.n, design.p))
     kinds = args.rule or [RULE_HARD_SIZE]
     rules = [ThresholdRule(kind=kind, d=d, q=q) for kind in kinds]
-    return n, p, rho, c, rules
+    return design, c, rules
 
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    n, p, rho, c, rules = _simulate_settings(args)
+    design, c, rules = _simulate_settings(args)
     model = ModelSpec(id=args.model, s=args.s)
-    design = DesignSpec(n=n, p=p, rho=rho, seed=derive_seed(args.seed, 0))
 
     hook = None
     per_rep_fh = None
@@ -258,9 +264,9 @@ def cmd_simulate(args) -> int:
     effective = {
         "model": args.model,
         "s": model.s,
-        "n": n,
-        "p": p,
-        "rho": rho,
+        "n": design.n,
+        "p": design.p,
+        "rho": design.rho,
         "c": c,
         "rules": [rule.label for rule in rules],
         "reps": args.reps,

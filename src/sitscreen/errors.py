@@ -47,7 +47,7 @@ class DegenerateResponse(DegenerateData):
 
 
 class SampleTooSmall(DegenerateData):
-    """Fewer than two slices remain after remainder trimming."""
+    """Fewer than two slices after trimming, or too few rows to calibrate."""
 
 
 class AllColumnsConstant(DegenerateData):
@@ -56,8 +56,6 @@ class AllColumnsConstant(DegenerateData):
 
 class ConfigError(SitScreenError, ValueError):
     """Invalid configuration values (slice size, FDR level, rule parameters)."""
-
-    exit_code = 4
 
 
 class InvalidCalibration(ConfigError):

@@ -4,8 +4,9 @@ The statistic measures how strongly a response Y depends on a covariate X,
 on a scale where 0 corresponds to independence and 1 to Y being a function
 of X.  It is computed from ranks only:
 
-1. order the sample by X (ties broken by a seeded random permutation),
-2. cut the ordered sample into H consecutive slices of c observations,
+1. discard n mod c observations at random, order the rest by X (ties
+   broken by a seeded random permutation),
+2. cut the ordered sample into H = floor(n / c) slices of c observations,
 3. compare, within each slice, the response ranks r of the slice members,
 4. normalise by the global rank dispersion sum R_i (n - R_i).
 
@@ -29,7 +30,6 @@ the response ranks.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -50,28 +50,24 @@ FIXED_SIGMA_SQ = 4.0 / 5.0
 
 @dataclass(frozen=True)
 class SliceConfig:
-    """Slicing layout: c observations per slice, seeded tie handling.
+    """The caller's slicing choices: c observations per slice, a tie seed.
 
-    ``H`` is the slice count; it is unset until the configuration has been
-    resolved against a concrete sample size (see :meth:`resolved`).  Before
-    ordering, ``n mod c`` observations are always discarded, chosen uniformly
-    at random from ``tie_seed``, so the effective sample size is H * c.
+    Before ordering, ``n mod c`` observations are always discarded, chosen
+    uniformly at random from ``tie_seed``; the rest form H = floor(n / c)
+    slices (see :meth:`slices`), so the effective sample size is H * c.
     """
 
     c: int
     tie_seed: int = 0
-    H: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.c, (int, np.integer)) or self.c < 2:
             raise ConfigError(f"slice size c must be an integer >= 2, got {self.c!r}")
         if not (0 <= int(self.tie_seed) < 2**64):
             raise ConfigError("tie_seed must fit in 64 bits")
-        if self.H is not None and self.H < 1:
-            raise ConfigError("slice count H must be >= 1")
 
-    def resolved(self, n: int) -> "SliceConfig":
-        """Return a copy with H fixed for a sample of size ``n``."""
+    def slices(self, n: int) -> int:
+        """Slice count H for a sample of size ``n``; refuses fewer than two."""
         n_eff = n - n % self.c
         if n_eff < 2 * self.c:
             raise SampleTooSmall(
@@ -83,11 +79,7 @@ class SliceConfig:
                 f"n={n} with c={self.c} is too large for the exact int64 spread "
                 "sum: n_effective * c * n must stay below 2**64"
             )
-        return dataclasses.replace(self, H=n_eff // self.c)
-
-    @property
-    def n_effective(self) -> int | None:
-        return None if self.H is None else self.H * self.c
+        return n_eff // self.c
 
 
 @dataclass(frozen=True)
@@ -171,21 +163,19 @@ class DependenceEstimate:
     c: int
 
 
-def arrange_by_covariate(
-    sample: PairedSample, config: SliceConfig
-) -> tuple[np.ndarray, SliceConfig]:
+def arrange_by_covariate(sample: PairedSample, config: SliceConfig) -> np.ndarray:
     """Trim the sample to a multiple of c and order the response by X.
 
     Randomness (remainder trimming, then tie-break keys for equal X values)
     is drawn from ``config.tie_seed`` in that fixed order, so the arrangement
-    is a pure function of (sample, config).  Returns the response values in
-    slice order together with the resolved configuration.
+    is a pure function of (sample, config).  Returns the H * c response
+    values in slice order.
 
     The brute-force reference uses this arrangement directly, and the fast
     kernel reproduces it draw for draw: both paths must see the same
     tie-broken ordering for exact-equality checks to be meaningful.
     """
-    resolved = config.resolved(sample.n)
+    config.slices(sample.n)  # refuses samples with fewer than two slices
     rng = rng_from_seed(config.tie_seed)
     x, y = sample.x, sample.y
     rem = sample.n % config.c
@@ -195,7 +185,7 @@ def arrange_by_covariate(
         x, y = x[keep], y[keep]
     u = rng.random(x.shape[0])
     order = np.lexsort((u, x))
-    return y[order], resolved
+    return y[order]
 
 
 def rank_counts(y: np.ndarray) -> RankCounts:
@@ -240,7 +230,7 @@ def _kept_counts(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept - np.take_along_axis(at_most, kept, axis=1)
 
 
-def _omega_block(xt, counts: RankCounts, seed_of, c: int, H: int) -> list[float]:
+def _omega_block(xt, counts: RankCounts, seed_of, c, H) -> list[float]:
     """Statistic of each row of a (columns, n) covariate block against y.
 
     ``counts`` are the full response's rank counts, ``seed_of(j)`` row j's
@@ -297,17 +287,12 @@ def sliced_estimate(
     """
     if calibration is None:
         calibration = auto_calibration(sample.y)
-    resolved = config.resolved(sample.n)
+    c, H = config.c, config.slices(sample.n)
     (value,) = _omega_block(sample.x[None, :], rank_counts(sample.y),
-                            lambda j: config.tie_seed, resolved.c, resolved.H)
-    n_eff = resolved.n_effective
-    z = z_statistic(value, n_eff, resolved.c, calibration)
+                            lambda j: config.tie_seed, c, H)
+    z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
-        omega_hat=value,
-        z=z,
-        p_value=p_value_from_z(z),
-        n_effective=n_eff,
-        c=resolved.c,
+        omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c
     )
 
 
@@ -339,7 +324,7 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     if n < 2:
-        raise ConfigError("need at least 2 observations")
+        raise SampleTooSmall("need at least 2 observations")
     counts = rank_counts(y)
     theta2 = _dispersion_sums(counts.R, n)[0] / n**3
     if theta2 == 0.0:

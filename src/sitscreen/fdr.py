@@ -17,7 +17,8 @@ dependence; both variants are exposed.
 
 The infimum over t > 0 is attained at an observed statistic value, so the
 implementation runs the equivalent step-up scan over sorted p-values in
-O(p log p) instead of scanning the estimated-FDP curve.
+O(p log p) instead of scanning the estimated-FDP curve (kept as the
+reference ``sitscreen.oracle.fdp_hat``).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSize, NonPositiveThreshold
-from .estimator import p_value_from_z, z_statistic
+from .errors import ConfigError, InvalidSize
 from .screening import ScreeningResult
 
 RULE_HARD_SIZE = "hard-size"
@@ -184,17 +184,6 @@ class ThresholdRule:
         if self.kind == RULE_HARD_LEVEL:
             return level_threshold_select(result, self.level)
         return by_threshold(result, FdrConfig(q=self.q, adjustment=self.kind))
-
-
-def fdp_hat(t: float, result: ScreeningResult, config: FdrConfig) -> float:
-    """Estimated false-discovery proportion of the selection at level t."""
-    if not (t > 0.0):
-        raise NonPositiveThreshold(f"threshold must be positive, got {t}")
-    harmonic = harmonic_number(result.p) if config.adjustment == RULE_BY else 1.0
-    z = z_statistic(t, result.n_effective, result.config.c, result.calibration)
-    tail = float(p_value_from_z(z))
-    count = int(np.count_nonzero(result.omega >= t))
-    return harmonic * result.p * tail / max(count, 1)
 
 
 def evaluate_selection(selected, active) -> tuple[float, int]:

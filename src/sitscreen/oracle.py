@@ -2,17 +2,26 @@
 
 These transcribe the defining formulas literally (loops, no prefix tricks)
 and exist to validate the optimized paths by exact comparison: any mismatch
-is a bug, never a tolerance case.  The only machinery shared with the fast
-path is the tie-broken arrangement of the sample (same seed, same ordering),
-without which exact equality would be ill-posed.
+is a bug, never a tolerance case.  The machinery shared with the fast path
+is the tie-broken arrangement of the sample (same seed, same ordering),
+without which exact equality would be ill-posed, and, in the estimated-FDP
+curve :func:`fdp_hat`, the scaling ``z_statistic``/``p_value_from_z``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateResponse
-from .estimator import PairedSample, SliceConfig, arrange_by_covariate
+from .errors import ConfigError, DegenerateResponse, NonPositiveThreshold
+from .estimator import (
+    PairedSample,
+    SliceConfig,
+    arrange_by_covariate,
+    p_value_from_z,
+    z_statistic,
+)
+from .fdr import RULE_BY, FdrConfig, harmonic_number
+from .screening import ScreeningResult
 
 
 def oracle_estimate(sample: PairedSample, config: SliceConfig) -> float:
@@ -22,13 +31,12 @@ def oracle_estimate(sample: PairedSample, config: SliceConfig) -> float:
     explicitly, and finishes with the same exact-integer ratio as the fast
     path.  Intended for n up to about 2,000.
     """
-    y_sliced, resolved = arrange_by_covariate(sample, config)
-    values = [float(v) for v in y_sliced]
-    n_eff, H, c = resolved.n_effective, resolved.H, resolved.c
+    values = [float(v) for v in arrange_by_covariate(sample, config)]
+    n_eff, c = len(values), config.c
 
     r = [sum(1 for t in values if v >= t) for v in values]
     num = 0
-    for h in range(H):
+    for h in range(n_eff // c):
         for j in range(c):
             for l in range(j + 1, c):
                 num += abs(r[h * c + j] - r[h * c + l])
@@ -81,3 +89,13 @@ def oracle_threshold(
     threshold = min(qualifying)
     return np.flatnonzero(omega >= threshold)
 
+
+def fdp_hat(t: float, result: ScreeningResult, config: FdrConfig) -> float:
+    """Estimated false-discovery proportion of the selection at level t."""
+    if not (t > 0.0):
+        raise NonPositiveThreshold(f"threshold must be positive, got {t}")
+    harmonic = harmonic_number(result.p) if config.adjustment == RULE_BY else 1.0
+    z = z_statistic(t, result.n_effective, result.config.c, result.calibration)
+    tail = float(p_value_from_z(z))
+    count = int(np.count_nonzero(result.omega >= t))
+    return harmonic * result.p * tail / max(count, 1)

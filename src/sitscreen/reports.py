@@ -142,12 +142,11 @@ def replication_csv_rows(outcome) -> list[str]:
     return rows
 
 
-def dump_json(payload: dict, path: str | None) -> str:
+def dump_json(payload: dict, path: str) -> None:
     """Serialize with sorted keys; write to ``path``, print it for ``-``."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path == "-":
         print(text)
-    elif path is not None:
+    else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return text

@@ -6,11 +6,12 @@ ranking live in :mod:`sitscreen.fdr`.  Also holds the ranking diagnostic
 (minimum model size) and the noise augmentation used by the simulation
 studies and the stability check.
 
-Each worker walks its span of columns in blocks of about BLOCK_CELLS cells
-and hands each block to one batched kernel.  Column k's trimming and
-tie-break randomness comes from the seed hash(master_seed, k), drawn only
-when the column needs it (trimming, or ties among its values), so results
-are identical for any worker count and any chunking of the columns.
+Every column is cut into the H slices of ``SliceConfig.slices``, the one
+row floor.  Each worker walks its span of columns in blocks of about
+BLOCK_CELLS cells and hands each block to one batched kernel.  Column k's
+trimming and tie-break randomness comes from the seed hash(master_seed, k),
+drawn only when the column needs it (trimming, or ties among its values), so
+results are identical for any worker count and any chunking of the columns.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ class ScreeningResult:
     """Per-covariate utilities, z scores, p-values, and the descending order.
 
     ``order`` sorts covariate indices by utility, largest first, ties broken
-    by smaller index.  ``config`` is the resolved slicing layout shared by
-    all columns and ``calibration`` the single variance scale behind every z.
+    by smaller index.  ``config`` is the caller's slicing configuration,
+    ``n_effective`` the H * c observations each column kept after trimming,
+    and ``calibration`` the single variance scale behind every z.
     """
 
     omega: np.ndarray
@@ -100,15 +102,12 @@ class ScreeningResult:
     p_values: np.ndarray
     order: np.ndarray
     config: SliceConfig
+    n_effective: int
     calibration: VarianceCalibration
 
     @property
     def p(self) -> int:
         return self.omega.shape[0]
-
-    @property
-    def n_effective(self) -> int:
-        return self.config.n_effective
 
     def ranks(self) -> np.ndarray:
         """1-based rank of each covariate in the descending utility order."""
@@ -143,9 +142,9 @@ def screen_all(
     ``config.tie_seed`` acts as the master seed; column k is evaluated with
     the derived seed hash(master, k), exactly as if ``sliced_estimate`` were
     called on that column alone.  Results do not depend on ``threads``.
+    Too few rows for two slices raise SampleTooSmall before any other check.
     """
-    if data.n < 4:
-        raise ConfigError("need at least 4 observations to screen")
+    c, H = config.c, config.slices(data.n)
     y = data.y
     if np.all(y == y[0]):
         raise DegenerateResponse("response is constant")
@@ -154,8 +153,6 @@ def screen_all(
     if calibration is None:
         calibration = auto_calibration(y)
 
-    resolved = config.resolved(data.n)
-    c, H = resolved.c, resolved.H
     counts = rank_counts(y)
     p = data.p
     step = max(1, BLOCK_CELLS // data.n)
@@ -172,7 +169,7 @@ def screen_all(
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         list(pool.map(work, bounds[:-1], bounds[1:]))
 
-    z = z_statistic(omega, resolved.n_effective, c, calibration)
+    z = z_statistic(omega, H * c, c, calibration)
     p_values = p_value_from_z(z)
     order = np.lexsort((np.arange(p), -omega))
     return ScreeningResult(
@@ -180,7 +177,8 @@ def screen_all(
         z=z,
         p_values=p_values,
         order=order,
-        config=resolved,
+        config=config,
+        n_effective=H * c,
         calibration=calibration,
     )
 

@@ -33,7 +33,7 @@ reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class ModelSpec:
             return fixed_active
         return tuple(range(self.s))
 
-    @property
-    def noise(self) -> str:
-        return _MODELS[self.id][1]
-
     def min_p(self) -> int:
         return max(self.active_set) + 1
 
@@ -253,12 +249,7 @@ def run_replication(
     threads: int | None = None,
 ) -> ReplicationOutcome:
     """Generate, screen, and select once; seeds derive from (master, rep)."""
-    spec = DesignSpec(
-        n=design.n,
-        p=design.p,
-        rho=design.rho,
-        seed=derive_seed(master_seed, rep_index, _TAG_DESIGN),
-    )
+    spec = replace(design, seed=derive_seed(master_seed, rep_index, _TAG_DESIGN))
     x = generate_design(spec)
     y = generate_response(x, model, derive_seed(master_seed, rep_index, _TAG_RESPONSE))
     result = screen_all(

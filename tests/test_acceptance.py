@@ -250,7 +250,8 @@ def _random_screening_result(rng, p):
         z=zz,
         p_values=p_value_from_z(zz),
         order=np.lexsort((np.arange(p), -omega)),
-        config=SliceConfig(c=c, H=n_eff // c),
+        config=SliceConfig(c=c),
+        n_effective=n_eff,
         calibration=cal,
     )
 

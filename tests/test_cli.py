@@ -128,6 +128,37 @@ class TestScreen:
         assert lines[-1].startswith("THRESHOLD,,")
         assert lines[0].split(",")[0] == "0"
 
+    def test_bad_plot_data_path_leaves_no_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli(["screen", "--input", signal_csv(tmp_path), "--response", "y",
+                        "--output", str(out), "--plot-data", str(tmp_path)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_bad_output_path_leaves_no_plot_data(self, tmp_path):
+        plot = tmp_path / "plot.csv"
+        code = run_cli(["screen", "--input", signal_csv(tmp_path), "--response", "y",
+                        "--output", str(tmp_path), "--plot-data", str(plot)])
+        assert code == 2
+        assert not plot.exists()
+
+    @pytest.mark.parametrize("flags, echoed", [
+        # d is the derived default floor(200 / ln 200) = 37, below p = 40
+        (["--rule", "hard-size", "--level", "0.2"],
+         {"d": 37, "q": None, "level": None}),
+        (["--rule", "by", "--d", "5", "--level", "0.2"],
+         {"d": None, "q": 0.1, "level": None}),
+        (["--rule", "hard-level", "--level", "0.2", "--d", "5"],
+         {"d": None, "q": None, "level": 0.2}),
+    ])
+    def test_report_echoes_the_rule_parameters_used(self, tmp_path, flags, echoed):
+        out = tmp_path / "r.json"
+        code = run_cli(["screen", "--input", signal_csv(tmp_path, n=200),
+                        "--response", "y", *flags, "--output", str(out)])
+        assert code == 0
+        config = load(out)["config"]
+        assert {key: config[key] for key in echoed} == echoed
+
     def test_standardize_is_noop_for_omega(self, tmp_path):
         csv_path = signal_csv(tmp_path, seed=3)
         raw, std = tmp_path / "raw.json", tmp_path / "std.json"
@@ -208,6 +239,16 @@ class TestExitCodes:
         code = run_cli(["screen", "--input", path, "--response", "y",
                         "--c", "4"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["screen", "augment-check"])
+    @pytest.mark.parametrize("flags", [[], ["--c", "2"], ["--sigma", "plugin"]])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_too_few_rows_is_degenerate(self, tmp_path, capsys, command, flags, n):
+        rng = np.random.default_rng(n)
+        path = write_csv(tmp_path / "rows.csv", rng.standard_normal((n, 2)),
+                         rng.standard_normal(n))
+        assert run_cli([command, "--input", path, "--response", "y", *flags]) == 3
+        assert capsys.readouterr().err.startswith("error: need at least ")
 
     def test_directory_input(self, tmp_path, capsys):
         code = run_cli(["screen", "--input", str(tmp_path), "--response", "y"])
@@ -319,6 +360,14 @@ class TestSimulate:
         config = load(out)["config"]
         assert config["n"] == 1024 and config["rho"] == 0.5 and config["c"] == 32
         assert config["p"] == 200  # explicit flag overrides the preset
+
+    @pytest.mark.parametrize("flags", [[], ["--c", "2"]])
+    @pytest.mark.parametrize("n", ["0", "1", "3"])
+    def test_too_small_n_is_config_error(self, capsys, flags, n):
+        code = run_cli(["simulate", "--model", "a1", "--n", n, "--p", "30",
+                        "--reps", "1", *flags])
+        assert code == 4
+        assert capsys.readouterr().err == "error: n must be at least 4\n"
 
     def test_bad_model_exits_config(self, tmp_path):
         assert run_cli(["simulate", "--model", "q7", "--reps", "1"]) == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -65,15 +66,18 @@ class TestValidation:
     def test_spread_sum_bound(self):
         # n_effective * c * n is exactly 2**64 here; nothing is allocated
         with pytest.raises(ConfigError, match=r"n=4194304 with c=1048576.*2\*\*64"):
-            SliceConfig(c=2**20).resolved(2**22)
+            SliceConfig(c=2**20).slices(2**22)
         # the largest n for this c below the bound: n_effective = 3 * 2**20
-        assert SliceConfig(c=2**20).resolved(2**22 - 1).H == 3
+        assert SliceConfig(c=2**20).slices(2**22 - 1) == 3
+
+    def test_config_holds_only_the_callers_choices(self):
+        assert [f.name for f in dataclasses.fields(SliceConfig)] == ["c", "tie_seed"]
+        assert SliceConfig(c=4).slices(11) == 2  # H follows from n, never stored
 
     def test_trim_keeps_multiple_of_c(self):
         sample = PairedSample(np.arange(11.0), np.arange(11.0))
-        y_sliced, resolved = arrange_by_covariate(sample, SliceConfig(c=4, tie_seed=9))
-        assert y_sliced.shape[0] == 8 and resolved.H == 2
-        assert resolved.n_effective == 8
+        y_sliced = arrange_by_covariate(sample, SliceConfig(c=4, tie_seed=9))
+        assert y_sliced.shape[0] == 8 and SliceConfig(c=4).slices(11) == 2
 
 
 class TestZStatistic:
@@ -132,6 +136,10 @@ class TestPluginCalibration:
     def test_constant_raises(self):
         with pytest.raises(DegenerateResponse):
             plugin_calibration(np.full(6, 3.0))
+
+    def test_single_observation_is_too_small(self):
+        with pytest.raises(SampleTooSmall):
+            plugin_calibration(np.array([1.0]))
 
     def test_near_constant_raises(self):
         # one value below a tied maximum: theta1 collapses to zero

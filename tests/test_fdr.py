@@ -18,11 +18,10 @@ from sitscreen.errors import ConfigError, NonPositiveThreshold
 from sitscreen.estimator import p_value_from_z
 from sitscreen.fdr import (
     evaluate_selection,
-    fdp_hat,
     harmonic_number,
     level_threshold_select,
 )
-from sitscreen.oracle import oracle_threshold
+from sitscreen.oracle import fdp_hat, oracle_threshold
 from sitscreen.screening import ScreeningResult
 
 
@@ -43,7 +42,8 @@ def result_from_pvalues(p_values, n_effective=256, c=8):
         z=z,
         p_values=p_value_from_z(z),
         order=order,
-        config=SliceConfig(c=c, H=n_effective // c),
+        config=SliceConfig(c=c),
+        n_effective=n_effective,
         calibration=cal,
     )
 
@@ -58,7 +58,8 @@ def result_from_omega(omega, n_effective=256, c=8):
         z=z,
         p_values=p_value_from_z(z),
         order=np.lexsort((np.arange(len(omega)), -omega)),
-        config=SliceConfig(c=c, H=n_effective // c),
+        config=SliceConfig(c=c),
+        n_effective=n_effective,
         calibration=cal,
     )
 

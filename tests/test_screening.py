@@ -18,6 +18,7 @@ from sitscreen.errors import (
     DegenerateResponse,
     EmptyActiveSet,
     InvalidSize,
+    SampleTooSmall,
 )
 from sitscreen.fdr import level_threshold_select
 from sitscreen.oracle import oracle_estimate
@@ -83,6 +84,21 @@ class TestScreenAll:
         a = screen_all(Dataset(x, y), cfg, threads=1)
         b = screen_all(Dataset(x, y), cfg, threads=4)
         assert np.array_equal(a.omega, b.omega)
+
+    def test_trimmed_result_counts_kept_rows(self):
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.standard_normal((23, 3)), rng.standard_normal(23))
+        config = SliceConfig(c=4, tie_seed=2)
+        result = screen_all(data, config)
+        assert result.config is config
+        assert result.n_effective == config.slices(23) * config.c == 20
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_row_floor_comes_before_other_checks(self, n):
+        # constant response and columns: the row floor still speaks first
+        data = Dataset(np.ones((n, 2)), np.zeros(n))
+        with pytest.raises(SampleTooSmall):
+            screen_all(data, SliceConfig(c=4))
 
     def test_constant_response_raises(self):
         data = Dataset(np.random.default_rng(0).standard_normal((16, 3)), np.zeros(16))
