@@ -25,16 +25,17 @@ Under independence of X and Y the scaled statistic
 
 is asymptotically standard normal; for a continuous response sigma^2 = 4/5
 exactly, and for tied responses a plug-in calibration estimates sigma^2 from
-the response ranks.
+the response ranks.  Its upper-tail p-value comes from the normal tail
+(Cephes ``ndtr`` port) below, which matches scipy.special.ndtr bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -114,6 +115,11 @@ class RankCounts:
 
     r: np.ndarray
     R: np.ndarray
+
+    @cached_property
+    def dispersion(self) -> int:
+        """Exact sum of R_i (n - R_i) over the sample, taken on first use."""
+        return _dispersion_sums(self.R, self.R.shape[0])[0]
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,7 @@ def _omega_block(xt, counts: RankCounts, seed_of, c, H) -> list[float]:
     n_eff = H * c
     if n_eff == n:
         rngs, ranks = None, counts.r
-        den = _dispersion_sums(counts.R, n) * p
+        den = [counts.dispersion] * p
     else:
         rngs = [rng_from_seed(seed_of(j)) for j in range(p)]
         keep = np.ones((p, n), dtype=bool)
@@ -308,9 +314,77 @@ def z_statistic(
     return math.sqrt(n_effective * (c - 1)) * estimate_value / cal.sigma
 
 
-def p_value_from_z(z) -> float:
-    """Upper-tail p-value 1 - Phi(z); negative z gives p > 0.5, untruncated."""
-    return ndtr(-z)
+# Cephes ndtr.c coefficients, highest power first: erfc = exp(-x^2) P(x)/Q(x)
+# for 1 <= x < 8 and R(x)/S(x) from 8 on; erf = x T(x^2)/U(x^2) below 1.  The
+# leading 1.0 of Q, S, U is implicit in Cephes (p1evl); 1.0 * x is exact.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+      5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+      1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+      2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+      4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x^2) underflows past it
+
+
+def _horner(x, coef):
+    """Cephes polevl: the polynomial with coefficients ``coef`` at x."""
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _ndtr(a):
+    """Standard normal CDF, bit for bit as Cephes ndtr (scipy.special.ndtr).
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < sqrt(1/2), else
+    0.5 erfc(|x|), reflected as 1 - y for x > 0.  Every + and * rounds as
+    in C; the exponential is math.exp (the libm exp Cephes calls), since
+    np.exp rounds differently on some inputs.  A scalar gives np.float64.
+    """
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    with np.errstate(over="ignore"):
+        zz = z * z
+    erfc = np.full_like(z, np.nan)  # erfc(|x|); NaN stays NaN
+    erfc[zz > _MAXLOG] = 0.0
+    near = z < 1.0
+    erf = x[near] * _horner(zz[near], _T) / _horner(zz[near], _U)
+    erfc[near] = 1.0 - np.abs(erf)
+    far = (z >= 1.0) & (zz <= _MAXLOG)
+    v = z[far]
+    low = v < 8.0
+    num = np.where(low, _horner(v, _P), _horner(v, _R))
+    den = np.where(low, _horner(v, _Q), _horner(v, _S))
+    exp = np.array([math.exp(-t) for t in zz[far].tolist()])
+    erfc[far] = exp * num / den
+    y = 0.5 * erfc
+    y = np.where(x > 0, 1.0 - y, y)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * erf[inner[near]]
+    return y[()]
+
+
+def p_value_from_z(z: float | np.ndarray) -> np.float64 | np.ndarray:
+    """Upper-tail p-value 1 - Phi(z) of a z score or an array of them;
+    negative z gives p > 0.5, untruncated."""
+    return _ndtr(-z)
 
 
 def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
@@ -326,7 +400,7 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     if n < 2:
         raise SampleTooSmall("need at least 2 observations")
     counts = rank_counts(y)
-    theta2 = _dispersion_sums(counts.R, n)[0] / n**3
+    theta2 = counts.dispersion / n**3
     if theta2 == 0.0:
         raise DegenerateResponse("response is constant")
     # With u = F(y) sorted ascending, min(u_j, u_l) = u_j for j < l, so the

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from sitscreen import PairedSample, SliceConfig, VarianceCalibration, sliced_estimate
@@ -16,6 +18,7 @@ from sitscreen.errors import (
 )
 from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
+    _ndtr,
     arrange_by_covariate,
     auto_calibration,
     p_value_from_z,
@@ -119,6 +122,50 @@ class TestZStatistic:
         for value in (0.0, -0.0, np.inf, -np.inf, 38.5, -38.5, 1.25):
             assert np.float64(p_value_from_z(value)).tobytes() == \
                 np.float64(norm.sf(value)).tobytes()
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestNdtrPort:
+    """The package's Cephes port against scipy.special.ndtr, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_every_finite_double(self, values):
+        a = np.array(values)
+        assert (bits(_ndtr(a)) == bits(ndtr(a))).all()
+        assert bits(_ndtr(values[0])) == bits(ndtr(values[0]))
+
+    def test_branch_edges_powers_of_two_and_specials(self):
+        # a = +-1, +-sqrt(2), +-8 sqrt(2) are |x| = sqrt(1/2), 1, 8; past
+        # a = sqrt(2 MAXLOG) ~ 37.68 exp(-x^2) underflows and erfc is 0.
+        edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2 * 709.782712893384)]
+        window = np.linspace(-1e-9, 1e-9, 2001)
+        ulps = np.arange(-64, 65) * 1.0
+        sweep = [[37.7, 0.0, np.inf], np.ldexp(1.0, np.arange(-1074, 1024))]
+        for edge in edges:
+            sweep += [edge + window, edge + ulps * np.spacing(edge)]
+        a = np.concatenate(sweep)
+        a = np.concatenate([a, -a])
+        assert (bits(_ndtr(a)) == bits(ndtr(a))).all()
+        assert np.isnan(_ndtr(np.nan)) and np.isnan(_ndtr(np.array([np.nan, 1.0]))[0])
+
+    def test_scalar_and_shapes(self):
+        assert type(_ndtr(0.3)) is np.float64
+        assert type(_ndtr(np.float64(-2.0))) is np.float64
+        for shape in [(), (5,), (2, 3)]:
+            a = np.linspace(-40.0, 40.0, math.prod(shape)).reshape(shape)
+            out = _ndtr(a)
+            assert np.shape(out) == shape
+            assert (bits(out) == bits(ndtr(a))).all()
+
+    def test_huge_arguments_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ndtr(np.array([1e300, -1e300])).tolist() == [1.0, 0.0]
+            assert _ndtr(-1e300) == 0.0
 
 
 class TestPluginCalibration:

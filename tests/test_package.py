@@ -25,9 +25,10 @@ def test_top_level_is_the_user_api():
     assert set(sitscreen.__all__) == USER_API
 
 
-def test_cli_import_skips_scipy_stats_and_oracle(child_env):
-    probe = ("import sys, sitscreen.cli; "
-             "print(sorted({'scipy.stats', 'sitscreen.oracle'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=child_env, check=True)
-    assert proc.stdout.strip() == "[]"
+def test_import_skips_scipy_and_oracle(child_env):
+    for module in ("sitscreen", "sitscreen.cli"):
+        probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy' or m == 'sitscreen.oracle'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env, check=True)
+        assert proc.stdout.strip() == "[]", module

@@ -27,6 +27,13 @@ class TestDesign:
         spec = DesignSpec(n=64, p=16, rho=0.3, seed=7)
         assert np.array_equal(generate_design(spec), generate_design(spec))
 
+    def test_design_is_c_contiguous(self):
+        # generate_response's x @ beta rounds by memory layout: an equal but
+        # F-ordered design (a transposed (p, n) buffer) changes the response
+        # bits of the a- and c-models.
+        x = generate_design(DesignSpec(n=64, p=16, rho=0.3, seed=7))
+        assert x.flags.c_contiguous
+
     def test_invalid_rho(self):
         for rho in (1.0, -1.0, 1.5):
             with pytest.raises(InvalidRho):
