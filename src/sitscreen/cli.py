@@ -16,8 +16,10 @@ constant 42 (never time-based) so runs are reproducible by default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import stat
 import sys
 import time
 
@@ -160,6 +162,7 @@ def _screen_once(args, data: Dataset, seed: int):
     """Shared screen pipeline; returns (result, selection, config)."""
     c = auto_slice_size(data.n) if args.c == "auto" else args.c
     config = SliceConfig(c=c, tie_seed=seed)
+    config.slices(data.n)  # the row floor, before calibration can object
     calibration = _calibration_for(args.sigma, data.y)
     result = screen_all(data, config, calibration=calibration)
     rule = ThresholdRule(
@@ -189,6 +192,28 @@ def _screen_once(args, data: Dataset, seed: int):
     return result, selection, effective
 
 
+@contextlib.contextmanager
+def _output_file(path):
+    """Open ``path`` for writing before the work it guards (none given: no
+    file) and remove it if that work then fails, so no partial output is left.
+    Only a regular file is removed, never a symlink such as /dev/stdout, a
+    FIFO or a device, and a failed removal never hides the command's error.
+    Ctrl-C is not a failure: a stopped run keeps what it wrote."""
+    if not path:
+        yield None
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except Exception:
+            with contextlib.suppress(OSError):
+                fh.close()  # a failing flush must not replace the error
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+            raise
+
+
 def cmd_screen(args) -> int:
     started = time.perf_counter()
     data = ingest_csv(args.input, args.response, standardize=args.standardize)
@@ -197,21 +222,15 @@ def cmd_screen(args) -> int:
         result, selection, selection.selected, data.names, effective,
         timing_seconds=time.perf_counter() - started,
     )
-    if not args.plot_data:
+    # Opened before the report, so a bad --plot-data path leaves no report;
+    # after the screen, so an input mistake never touches an existing file.
+    with _output_file(args.plot_data) as plot_fh:
         dump_json(report, args.output)
-        return 0
-    lines = plot_data_lines(
-        result, selection.selected, data.names, selection.realized_threshold
-    )
-    # Opened first: a bad plot-data path must fail before any report exists.
-    with open(args.plot_data, "w", encoding="utf-8") as fh:
-        try:
-            dump_json(report, args.output)
-        except OSError:
-            fh.close()
-            os.remove(args.plot_data)  # nor may a failed report leave a CSV
-            raise
-        fh.write("\n".join(lines) + "\n")
+        if plot_fh is not None:
+            lines = plot_data_lines(
+                result, selection.selected, data.names, selection.realized_threshold
+            )
+            plot_fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -238,29 +257,6 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     design, c, rules = _simulate_settings(args)
     model = ModelSpec(id=args.model, s=args.s)
-
-    hook = None
-    per_rep_fh = None
-    if args.per_rep:
-        # Opened on the first outcome, so a run that fails before any
-        # replication completes leaves no file behind.
-        def hook(outcome):
-            nonlocal per_rep_fh
-            if per_rep_fh is None:
-                per_rep_fh = open(args.per_rep, "w", encoding="utf-8")
-                per_rep_fh.write(REPLICATION_CSV_HEADER + "\n")
-            for row in replication_csv_rows(outcome):
-                per_rep_fh.write(row + "\n")
-
-    try:
-        report = run_study(
-            design, model, c, rules, reps=args.reps,
-            master_seed=args.seed, outcome_hook=hook,
-        )
-    finally:
-        if per_rep_fh is not None:
-            per_rep_fh.close()
-
     effective = {
         "model": args.model,
         "s": model.s,
@@ -273,10 +269,23 @@ def cmd_simulate(args) -> int:
         "seed": int(args.seed),
         "study": args.study,
     }
-    payload = simulation_report_dict(
-        report, effective, timing_seconds=time.perf_counter() - started
-    )
-    dump_json(payload, args.output)
+    with _output_file(args.per_rep) as per_rep:
+        hook = None
+        if per_rep is not None:
+            per_rep.write(REPLICATION_CSV_HEADER + "\n")
+
+            def hook(outcome):
+                for row in replication_csv_rows(outcome):
+                    per_rep.write(row + "\n")
+
+        report = run_study(
+            design, model, c, rules, reps=args.reps,
+            master_seed=args.seed, outcome_hook=hook,
+        )
+        payload = simulation_report_dict(
+            report, effective, timing_seconds=time.perf_counter() - started
+        )
+        dump_json(payload, args.output)
     return 0
 
 

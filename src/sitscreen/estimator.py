@@ -97,8 +97,6 @@ class PairedSample:
             raise ConfigError("x and y must be one-dimensional")
         if x.shape[0] != y.shape[0]:
             raise ConfigError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-        if x.shape[0] < 4:
-            raise ConfigError("need at least 4 paired observations")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ConfigError("all values must be finite")
         object.__setattr__(self, "x", x)
@@ -291,9 +289,9 @@ def sliced_estimate(
     (untrimmed) response.  Deterministic given (sample, config): the same
     tie seed always yields the same bits.
     """
+    c, H = config.c, config.slices(sample.n)
     if calibration is None:
         calibration = auto_calibration(sample.y)
-    c, H = config.c, config.slices(sample.n)
     (value,) = _omega_block(sample.x[None, :], rank_counts(sample.y),
                             lambda j: config.tie_seed, c, H)
     z = z_statistic(value, H * c, c, calibration)

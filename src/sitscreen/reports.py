@@ -136,7 +136,7 @@ def replication_csv_rows(outcome) -> list[str]:
     rows = []
     for label in outcome.selections:
         rows.append(
-            f"{outcome.rep_index},{label},{outcome.model_size[label]},"
+            f"{outcome.rep_index},{label},{len(outcome.selections[label])},"
             f"{outcome.fdp[label]!r},{int(outcome.all_active[label])},{outcome.mms}"
         )
     return rows

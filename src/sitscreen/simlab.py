@@ -33,7 +33,7 @@ reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,7 +206,6 @@ class ReplicationOutcome:
     rank_consistent: bool
     selections: dict
     fdp: dict
-    model_size: dict
     all_active: dict
 
 
@@ -226,17 +225,11 @@ class SimulationReport:
 
     model_id: str
     active_set: tuple
-    n: int
-    p: int
-    rho: float
-    c: int
     reps: int
-    master_seed: int
-    rule_labels: tuple
     mms_quantiles: dict
     rank_consistent_proportion: float
     per_rule: dict
-    p_a: float | None = field(default=None)
+    p_a: float | None = None
 
 
 def run_replication(
@@ -264,12 +257,11 @@ def run_replication(
     )
     mms = minimum_model_size(result, active)
 
-    selections, fdp, model_size, all_active = {}, {}, {}, {}
+    selections, fdp, all_active = {}, {}, {}
     for rule in rules:
         selected = rule.apply(result).selected
         fdp[rule.label], true_hits = evaluate_selection(selected, active)
         selections[rule.label] = selected
-        model_size[rule.label] = len(selected)
         all_active[rule.label] = true_hits == len(active)
     return ReplicationOutcome(
         rep_index=rep_index,
@@ -277,7 +269,6 @@ def run_replication(
         rank_consistent=rank_consistent,
         selections=selections,
         fdp=fdp,
-        model_size=model_size,
         all_active=all_active,
     )
 
@@ -293,7 +284,8 @@ def aggregate(
     """Fold replication outcomes into a report.
 
     Outcomes are sorted by replication index before folding, so any
-    permutation of the input yields the identical report.
+    permutation of the input yields the identical report.  ``design``,
+    ``c`` and ``master_seed`` are accepted but not used.
     """
     outcomes = sorted(outcomes, key=lambda o: o.rep_index)
     reps = len(outcomes)
@@ -314,7 +306,7 @@ def aggregate(
         per_rule[label] = RuleSummary(
             selection_proportions=proportions,
             p_all=float(np.mean([o.all_active[label] for o in outcomes])),
-            ams=float(np.mean([o.model_size[label] for o in outcomes])),
+            ams=float(np.mean([len(o.selections[label]) for o in outcomes])),
             mean_fdp=float(np.mean([o.fdp[label] for o in outcomes])),
         )
     p_a = None
@@ -325,13 +317,7 @@ def aggregate(
     return SimulationReport(
         model_id=model.id,
         active_set=tuple(active),
-        n=design.n,
-        p=design.p,
-        rho=design.rho,
-        c=c,
         reps=reps,
-        master_seed=master_seed,
-        rule_labels=tuple(rule.label for rule in rules),
         mms_quantiles=quantiles,
         rank_consistent_proportion=float(
             np.mean([o.rank_consistent for o in outcomes])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sitscreen
-from sitscreen import errors
+from sitscreen import errors, simlab
 from sitscreen.cli import auto_slice_size, default_hard_size, main
 
 
@@ -142,6 +142,17 @@ class TestScreen:
         assert code == 2
         assert not plot.exists()
 
+    @pytest.mark.parametrize("absent_input, response", [(True, "y"), (False, "zz")])
+    def test_input_mistake_keeps_existing_plot_data(self, tmp_path, absent_input,
+                                                    response):
+        plot = tmp_path / "plot.csv"
+        plot.write_text("previous run\n")
+        path = str(tmp_path / "absent.csv") if absent_input else signal_csv(tmp_path)
+        code = run_cli(["screen", "--input", path, "--response", response,
+                        "--plot-data", str(plot)])
+        assert code == 2
+        assert plot.read_text() == "previous run\n"
+
     @pytest.mark.parametrize("flags, echoed", [
         # d is the derived default floor(200 / ln 200) = 37, below p = 40
         (["--rule", "hard-size", "--level", "0.2"],
@@ -242,13 +253,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["screen", "augment-check"])
     @pytest.mark.parametrize("flags", [[], ["--c", "2"], ["--sigma", "plugin"]])
-    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_rows_is_degenerate(self, tmp_path, capsys, command, flags, n):
+        # The row floor is checked before calibration, so a constant or
+        # tied response gets the same message under every --sigma.
         rng = np.random.default_rng(n)
-        path = write_csv(tmp_path / "rows.csv", rng.standard_normal((n, 2)),
-                         rng.standard_normal(n))
-        assert run_cli([command, "--input", path, "--response", "y", *flags]) == 3
-        assert capsys.readouterr().err.startswith("error: need at least ")
+        x = rng.standard_normal((n, 2))
+        for y in (rng.standard_normal(n), np.ones(n)):
+            path = write_csv(tmp_path / "rows.csv", x, y)
+            assert run_cli([command, "--input", path, "--response", "y", *flags]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: need at least two slices")
 
     def test_directory_input(self, tmp_path, capsys):
         code = run_cli(["screen", "--input", str(tmp_path), "--response", "y"])
@@ -313,6 +328,8 @@ class TestErrorPath:
 
 
 class TestSimulate:
+    SMALL = ["--model", "a1", "--n", "64", "--p", "20", "--reps", "2"]
+
     def test_single_rep_degenerate_quantiles(self, tmp_path):
         out = tmp_path / "sim.json"
         code = run_cli(["simulate", "--model", "a1", "--n", "64", "--p", "30",
@@ -350,6 +367,75 @@ class TestSimulate:
                         "--output", str(tmp_path / "sim.json")])
         assert code == 4
         assert not per_rep.exists()
+
+    def test_bad_output_path_leaves_no_per_rep_file(self, tmp_path):
+        per_rep = tmp_path / "pr.csv"
+        code = run_cli(["simulate", *self.SMALL, "--per-rep", str(per_rep),
+                        "--output", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert not per_rep.exists()
+
+    def test_bad_per_rep_path_fails_before_any_replication(self, tmp_path, monkeypatch):
+        calls = []
+        real = simlab.run_replication
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simlab, "run_replication", counting)
+        code = run_cli(["simulate", *self.SMALL, "--per-rep", str(tmp_path),
+                        "--output", str(tmp_path / "sim.json")])
+        assert code == 2
+        assert calls == []
+
+    FAILING = ["--model", "b1", "--n", "64", "--p", "10", "--reps", "2"]
+
+    def test_failed_run_keeps_a_fifo(self, tmp_path, capsys):
+        fifo = tmp_path / "pr.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the open proceed
+        try:
+            code = run_cli(["simulate", *self.FAILING, "--per-rep", str(fifo)])
+        finally:
+            os.close(reader)
+        assert code == 4
+        assert fifo.is_fifo()
+        assert "Errno" not in capsys.readouterr().err
+
+    def test_failed_run_keeps_a_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        link = tmp_path / "pr.csv"
+        link.symlink_to(target)
+        code = run_cli(["simulate", *self.FAILING, "--per-rep", str(link)])
+        assert code == 4
+        assert link.is_symlink()
+
+    def test_failed_removal_keeps_the_run_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "remove", refuse)
+        code = run_cli(["simulate", *self.FAILING,
+                        "--per-rep", str(tmp_path / "pr.csv")])
+        assert code == 4
+        assert "Errno" not in capsys.readouterr().err
+
+    def test_interrupted_run_keeps_streamed_rows(self, tmp_path, monkeypatch):
+        real = simlab.run_replication
+
+        def interrupted(*args, **kwargs):
+            if args[4] == 1:  # rep_index
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simlab, "run_replication", interrupted)
+        per_rep = tmp_path / "pr.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["simulate", *self.SMALL, "--per-rep", str(per_rep)])
+        lines = per_rep.read_text().strip().split("\n")
+        assert lines[0] == "rep,rule,model_size,fdp,all_active,mms"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0"]
 
     def test_study_preset(self, tmp_path):
         out = tmp_path / "sim.json"

@@ -55,8 +55,11 @@ class TestValidation:
             estimate_value([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], c=4)
 
     def test_min_sample_size(self):
-        with pytest.raises(ValueError):
-            PairedSample([1, 2, 3], [1, 2, 3])
+        # The row floor belongs to SliceConfig.slices, checked before calibrating.
+        for n in (1, 2, 3):
+            sample = PairedSample(np.arange(n), np.ones(n))
+            with pytest.raises(SampleTooSmall):
+                sliced_estimate(sample, SliceConfig(c=2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
