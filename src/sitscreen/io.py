@@ -4,12 +4,22 @@ Input files are RFC-4180 CSV with a header row.  One column is the response,
 selected by name or by ``#k`` with k a 0-based column index; every other
 column must be numeric.  Rows with missing or non-finite cells are rejected
 outright: imputation would silently change ranks and therefore the statistic.
+
+The data rows are read by one of two paths.  The bulk path streams them
+through a single ``np.loadtxt`` call and checks shape and finiteness once.
+It keeps a table only where the cell-by-cell scan would return the same
+bits; on any doubt (a parse or decode error, a field past
+``csv.field_size_limit()``, a row of the wrong width, no rows, a non-finite
+value) it steps aside and the scan reads the rows again from the start.
+A pipe cannot be read twice, so it always takes the scan.  The scan, which
+parses each cell with ``float()``, is the only code that words an error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 
@@ -52,9 +62,8 @@ def ingest_csv(path, response_selector: str, standardize: bool = False) -> Datas
 def _ingest(path, response_selector: str, standardize: bool) -> Dataset:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyData(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
@@ -64,47 +73,90 @@ def _ingest(path, response_selector: str, standardize: bool) -> Dataset:
         if len(header) < 2:
             raise EmptyData(f"{path}: no covariate column besides the response")
 
-        rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_number} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            parsed = np.empty(len(header))
-            for j, cell in enumerate(row):
-                cell = cell.strip()
-                if cell == "":
-                    raise ParseError(
-                        f"{path}: row {row_number}, column {header[j]!r}: "
-                        "missing value"
-                    )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericColumn(
-                        f"{path}: row {row_number}, column {header[j]!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {row_number}, column {header[j]!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                parsed[j] = value
-            rows.append(parsed)
+        table = None
+        # Rows read in bulk from a pipe could not be read again by the scan.
+        if fh.seekable():
+            table = _bulk_rows(fh, len(header))
+            if table is None:
+                fh.seek(0)
+                next(csv.reader(fh))  # past the header again
+        if table is None:
+            table = _scan_rows(fh, path, header)
 
-    if not rows:
-        raise EmptyData(f"{path}: no data rows")
-    table = np.vstack(rows)
     y = table[:, response_idx]
     x = np.delete(table, response_idx, axis=1)
     names = tuple(h for j, h in enumerate(header) if j != response_idx)
     if standardize:
         x = standardize_columns(x)
     return Dataset(x=x, y=y, names=names)
+
+
+def _bulk_rows(fh, width: int) -> np.ndarray | None:
+    """All data rows in one ``np.loadtxt`` call, or None to leave them to the scan.
+
+    Only a table the scan would return bit for bit is kept: loadtxt strips
+    the same whitespace and rounds through the same ``strtod`` as
+    ``float()``, and everything it reads differently (quotes, ``1_000``,
+    non-ASCII digits, empty cells) makes it raise.
+    """
+    limit = csv.field_size_limit()
+
+    def lines():
+        for line in fh:
+            # csv.reader refuses a field past its size limit; loadtxt does not.
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise ValueError("field larger than field limit")
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            # Zero rows raise too: loadtxt warns "input contained no data".
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines(), delimiter=",", comments=None,
+                               dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _scan_rows(fh, path, header: list[str]) -> np.ndarray:
+    """The data rows cell by cell: the reader that names a bad cell."""
+    rows = []
+    for row_number, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {row_number} has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
+        parsed = np.empty(len(header))
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if cell == "":
+                raise ParseError(
+                    f"{path}: row {row_number}, column {header[j]!r}: "
+                    "missing value"
+                )
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericColumn(
+                    f"{path}: row {row_number}, column {header[j]!r}: "
+                    f"non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {row_number}, column {header[j]!r}: "
+                    f"non-finite value {cell!r}"
+                )
+            parsed[j] = value
+        rows.append(parsed)
+    if not rows:
+        raise EmptyData(f"{path}: no data rows")
+    return np.vstack(rows)
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:

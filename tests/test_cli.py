@@ -265,6 +265,13 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: need at least two slices")
 
+    @pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n\r\n\r\n"])
+    def test_no_data_rows(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert run_cli(["screen", "--input", str(path), "--response", "y"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
     def test_directory_input(self, tmp_path, capsys):
         code = run_cli(["screen", "--input", str(tmp_path), "--response", "y"])
         assert code == 2

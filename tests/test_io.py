@@ -1,7 +1,21 @@
+import csv
+import os
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sitscreen.errors import EmptyData, MissingResponse, NonNumericColumn, ParseError
+from sitscreen import io
+from sitscreen.errors import (
+    EmptyData,
+    MissingResponse,
+    NonNumericColumn,
+    ParseError,
+    SitScreenError,
+)
 from sitscreen.io import ingest_csv, standardize_columns
 
 
@@ -123,3 +137,125 @@ def test_oversized_field_is_a_parse_error(tmp_path):
     path = write(tmp_path, 'x,y\n"' + "1" * 200_000 + '",1\n')
     with pytest.raises(ParseError, match="field larger than field limit"):
         ingest_csv(path, "y")
+
+
+def test_oversized_unquoted_finite_field_is_a_parse_error(tmp_path):
+    # np.loadtxt reads this cell as 0.0; csv.reader refuses it, and so must we.
+    cell = "0." + "0" * 200_000 + "1"
+    assert len(cell) > csv.field_size_limit()
+    path = write(tmp_path, f"x,y\n1,2\n{cell},1\n3,4\n")
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        ingest_csv(path, "y")
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n\r\n\r\n"])
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_no_data_rows_leaks_no_warning(tmp_path, text, action):
+    path = write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(EmptyData, match="no data rows"):
+            ingest_csv(path, "y")
+    assert caught == []
+
+
+def _scan_refused(fh, path, header):
+    raise AssertionError("the cell-by-cell scan ran")
+
+
+def test_numeric_file_skips_the_scan(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_scan_rows", _scan_refused)
+    path = write(tmp_path, "x1,x2,y\r\n1,4,0.5\r\n\r\n2, 5 ,-6e-1\r\n3,6,1e-400")
+    data = ingest_csv(path, "y")
+    assert np.array_equal(data.x, [[1, 4], [2, 5], [3, 6]])
+    assert np.array_equal(data.y, [0.5, -0.6, 0.0])
+
+
+def test_wide_file_skips_the_scan(tmp_path, monkeypatch):
+    # Genome-width rows are longer than csv.field_size_limit() although no
+    # single field is; they must not drop to the scan.
+    monkeypatch.setattr(io, "_scan_rows", _scan_refused)
+    table = np.random.default_rng(3).standard_normal((4, 8000))
+    header = ",".join(["y"] + [f"x{j}" for j in range(1, 8000)])
+    lines = [",".join(f"{v:.17g}" for v in row) for row in table]
+    assert min(map(len, lines)) > csv.field_size_limit()
+    data = ingest_csv(write(tmp_path, "\n".join([header, *lines]) + "\n"), "y")
+    assert data.x.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
+    assert data.y.tobytes() == np.ascontiguousarray(table[:, 0]).tobytes()
+
+
+def _outcome(path):
+    try:
+        data = ingest_csv(path, "y")
+    except SitScreenError as err:
+        return type(err), str(err).replace(str(path), "<path>")
+    return data.names, data.x.shape, data.x.view(np.uint64).tolist(), data.y.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\n1,2\n3,4\n",
+    'x,y\n"1","2"\n3,4\n',
+    "x,y\n1,2\nnan,4\n",
+])
+def test_pipe_reads_like_a_file(tmp_path, text):
+    # Rows the bulk read refuses must still reach the scan: a pipe cannot be
+    # read twice.
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode("utf-8"))
+    os.close(write_end)
+    try:
+        piped = _outcome(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert piped == _outcome(write(tmp_path, text))
+
+
+# Cells that float(), csv.reader and np.loadtxt may each read differently.
+ODD_CELLS = [
+    "1_000", "1__0", "\u0661\u0662", "\u0663.5", "\uff11",
+    " 1 ", "\t2", "\x0b3\x0c", "\xa04", "5\u3000", "\x856\x1c",
+    "inf", "-Infinity", "+iNfInItY", "nan", "-NaN", "+nan", "INF",
+    "1e999", "-1e999", "1e-400", "-1e-400", "-0", "0x10", "1.5e", ".", "1 2",
+    '"1.5"', '" 2 "', '"nan"', '"1,5"', 'a"b', "#", "#1", "1#", "\x00", "", " ",
+]
+BLANK_LINES = ["", " ", "\t", "\x0b", "\x0c", "\xa0", " \t "]
+
+
+@st.composite
+def csv_bytes(draw):
+    width = draw(st.integers(2, 4))
+    plain = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+        st.integers(-(10**30), 10**30).map(str),
+    )
+    cell = st.one_of(plain, plain, st.floats().map(repr), st.sampled_from(ODD_CELLS))
+    lines = [",".join(f"x{j}" for j in range(width - 1)) + ",y"]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["blank", "ragged", "trailing comma"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        size = width + draw(st.sampled_from([-1, 1])) if kind == "ragged" else width
+        line = ",".join(draw(st.lists(cell, min_size=size, max_size=size)))
+        lines.append(line + "," if kind == "trailing comma" else line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_bytes())
+@example(b"x0,x1,y\n1,2\n3,4\n")
+@example(b"x,y\n1,2#\n3,4\n")
+@example(b"x,y\r1,2\r\r \r3,4")
+def test_bulk_read_matches_the_scan(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(raw)
+    with mock.patch.object(io, "_bulk_rows", lambda fh, width: None):
+        expected = _outcome(str(path))
+    assert _outcome(str(path)) == expected
