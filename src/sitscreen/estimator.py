@@ -43,7 +43,7 @@ from .errors import (
     InvalidCalibration,
     SampleTooSmall,
 )
-from .seeding import rng_from_seed
+from .seeding import reseed, rng_from_seed, seed_words
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
@@ -118,6 +118,11 @@ class RankCounts:
     def dispersion(self) -> int:
         """Exact sum of R_i (n - R_i) over the sample, taken on first use."""
         return _dispersion_sums(self.R, self.R.shape[0])[0]
+
+    @cached_property
+    def tie_free(self) -> bool:
+        """No two responses are equal: r_i + R_i = n + 1 for every i."""
+        return bool(np.all(self.r + self.R == self.r.shape[0] + 1))
 
 
 @dataclass(frozen=True)
@@ -234,28 +239,57 @@ def _kept_counts(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept - np.take_along_axis(at_most, kept, axis=1)
 
 
-def _omega_block(xt, counts: RankCounts, seed_of, c, H) -> list[float]:
+def _tie_order(x, order, ordered, u):
+    """``np.lexsort((u, x), axis=1)`` of tied rows, given each row's argsort
+    ``order`` and sorted values ``ordered``.
+
+    One argsort of the exact keys level << 53 | u * 2**53, with level the
+    dense rank of x in its row (``!=`` keeps -0.0 and 0.0 on one level) and
+    u * 2**53 an integer, since random() returns multiples of 2**-53.  A row
+    with two equal keys, or with 2**11 levels or more, takes the lexsort.
+    """
+    steps = np.zeros(x.shape, dtype=np.uint64)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=steps[:, 1:])
+    level = np.empty_like(steps)
+    np.put_along_axis(level, order, steps, axis=1)
+    keys = level << np.uint64(53) | (u * 2.0**53).astype(np.uint64)
+    out = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, out, axis=1)
+    fallback = (steps[:, -1] >= 2**11) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    if fallback.any():
+        out[fallback] = np.lexsort((u[fallback], x[fallback]), axis=1)
+    return out
+
+
+def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
     """Statistic of each row of a (columns, n) covariate block against y.
 
-    ``counts`` are the full response's rank counts, ``seed_of(j)`` row j's
-    tie seed.  Rows draw what :func:`arrange_by_covariate` draws, in order,
-    but tie-break keys only for rows with ties: a tie-free row's argsort
-    order is unique.  For sorted slice ranks a_(j) the pairwise spread is
+    ``counts`` are the full response's rank counts, ``words[j]`` row j's
+    tie seed as its four :func:`~sitscreen.seeding.seed_words`, and ``gen``
+    one PCG64 generator that :func:`~sitscreen.seeding.reseed` puts in each
+    row's ``default_rng(tie seed)`` state.  Rows draw what
+    :func:`arrange_by_covariate` draws, in order, but tie-break keys only
+    for rows with ties: a tie-free row's argsort order is unique.  For
+    sorted slice ranks a_(j) the pairwise spread is
     sum_j (2j - c + 1) a_(j), one sort per slice.
     """
     p, n = xt.shape
     n_eff = H * c
     if n_eff == n:
-        rngs, ranks = None, counts.r
+        drawn, ranks = None, counts.r
         den = [counts.dispersion] * p
     else:
-        rngs = [rng_from_seed(seed_of(j)) for j in range(p)]
+        drawn = []  # each row's generator state after its choice
         keep = np.ones((p, n), dtype=bool)
-        for j, rng in enumerate(rngs):
-            keep[j, rng.choice(n, size=n - n_eff, replace=False)] = False
+        for j, row in enumerate(words.tolist()):
+            keep[j, reseed(gen, row).choice(n, size=n - n_eff, replace=False)] = False
+            drawn.append(gen.bit_generator.state)
         xt = xt[keep].reshape(p, n_eff)
         ranks = _kept_counts(counts.r, keep)
-        den = _dispersion_sums(_kept_counts(counts.R, keep), n_eff)
+        if counts.tie_free:  # kept R is then a permutation of 1..n_eff
+            den = [n_eff * (n_eff**2 - 1) // 6] * p
+        else:
+            den = _dispersion_sums(_kept_counts(counts.R, keep), n_eff)
     if 0 in den:
         raise DegenerateResponse("response is constant after trimming")
     order = np.argsort(xt, axis=1)
@@ -263,11 +297,14 @@ def _omega_block(xt, counts: RankCounts, seed_of, c, H) -> list[float]:
     # == also pairs -0.0 with 0.0, which the lexsort treats as a tie
     tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     if tied.size:
-        u = np.stack([
-            (rng_from_seed(seed_of(j)) if rngs is None else rngs[j]).random(n_eff)
-            for j in tied
-        ])
-        order[tied] = np.lexsort((u, xt[tied]), axis=1)
+        u = np.empty((tied.size, n_eff))
+        for i, j in enumerate(tied):
+            if drawn is None:
+                reseed(gen, words[j].tolist())
+            else:
+                gen.bit_generator.state = drawn[j]
+            u[i] = gen.random(n_eff)
+        order[tied] = _tie_order(xt[tied], order[tied], ordered[tied], u)
     # a shared rank vector takes a plain gather, several times faster
     sliced = ranks[order] if ranks.ndim == 1 else np.take_along_axis(ranks, order, 1)
     w = 2 * np.arange(c, dtype=np.int64) - (c - 1)
@@ -292,8 +329,9 @@ def sliced_estimate(
     c, H = config.c, config.slices(sample.n)
     if calibration is None:
         calibration = auto_calibration(sample.y)
-    (value,) = _omega_block(sample.x[None, :], rank_counts(sample.y),
-                            lambda j: config.tie_seed, c, H)
+    words = seed_words([config.tie_seed])
+    (value,) = _omega_block(sample.x[None, :], rank_counts(sample.y), words,
+                            rng_from_seed(0), c, H)
     z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
         omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c

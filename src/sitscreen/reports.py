@@ -76,10 +76,11 @@ def plot_data_lines(result: ScreeningResult, selected, names, threshold) -> list
     threshold row ``THRESHOLD,,<value>,`` (p + 1 lines, no header)."""
     selected_mask = np.zeros(result.p, dtype=bool)
     selected_mask[np.asarray(selected, dtype=np.intp)] = True
+    omega = result.omega.tolist()  # floats: repr of a numpy scalar is not a number
     lines = []
     for k in range(result.p):
         name = names[k] if names is not None else ""
-        lines.append(f"{k},{name},{result.omega[k]!r},{int(selected_mask[k])}")
+        lines.append(f"{k},{name},{omega[k]!r},{int(selected_mask[k])}")
     value = threshold if math.isfinite(threshold) else math.inf
     lines.append(f"THRESHOLD,,{value!r},")
     return lines

@@ -12,6 +12,8 @@ BLOCK_CELLS cells and hands each block to one batched kernel.  Column k's
 trimming and tie-break randomness comes from the seed hash(master_seed, k),
 drawn only when the column needs it (trimming, or ties among its values), so
 results are identical for any worker count and any chunking of the columns.
+All p seeds are hashed in one batched call per screen, and each worker
+reseeds one generator for every column that draws.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .estimator import (
     rank_counts,
     z_statistic,
 )
-from .seeding import derive_seed, rng_from_seed
+from .seeding import derive_seeds, rng_from_seed, seed_words
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 
@@ -157,13 +159,14 @@ def screen_all(
     p = data.p
     step = max(1, BLOCK_CELLS // data.n)
     omega = np.empty(p, dtype=np.float64)
+    words = seed_words(derive_seeds(config.tie_seed, p))
 
     def work(start, stop):
+        gen = rng_from_seed(0)  # reseeded for every column that draws
         for lo in range(start, stop, step):
-            block = np.ascontiguousarray(data.x[:, lo : min(lo + step, stop)].T)
-            omega[lo : lo + len(block)] = _omega_block(
-                block, counts, lambda j: derive_seed(config.tie_seed, lo + j), c, H
-            )
+            hi = min(lo + step, stop)
+            block = np.ascontiguousarray(data.x[:, lo:hi].T)
+            omega[lo:hi] = _omega_block(block, counts, words[lo:hi], gen, c, H)
 
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:

@@ -128,6 +128,20 @@ class TestScreen:
         assert lines[-1].startswith("THRESHOLD,,")
         assert lines[0].split(",")[0] == "0"
 
+    def test_plot_data_omega_parses_to_the_report_value(self, tmp_path):
+        out = tmp_path / "report.json"
+        plot = tmp_path / "plot.csv"
+        run_cli(["screen", "--input", signal_csv(tmp_path), "--response", "y",
+                 "--output", str(out), "--plot-data", str(plot)])
+        reported = {r["index"]: r["omega"] for r in load(out)["covariates"]}
+        rows = [line.split(",") for line in plot.read_text().splitlines()[:-1]]
+        parsed = {int(index): float(omega) for index, _, omega, _ in rows}
+        assert parsed.keys() == reported.keys()
+        for k, value in parsed.items():
+            assert np.float64(value).view(np.uint64) == np.float64(reported[k]).view(np.uint64)
+        table = np.genfromtxt(plot, delimiter=",", usecols=2)
+        assert np.isfinite(table).all() and table.shape == (41,)
+
     def test_bad_plot_data_path_leaves_no_report(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(["screen", "--input", signal_csv(tmp_path), "--response", "y",

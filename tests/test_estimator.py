@@ -18,7 +18,10 @@ from sitscreen.errors import (
 )
 from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
+    _dispersion_sums,
+    _kept_counts,
     _ndtr,
+    _tie_order,
     arrange_by_covariate,
     auto_calibration,
     p_value_from_z,
@@ -305,3 +308,74 @@ def test_consistency_grows_with_n():
         means.append(np.mean(values))
     assert means[1] >= means[0] - 0.02
     assert means[2] >= means[1] - 0.02
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 300), st.integers(1, 5), st.data())
+def test_trimmed_tie_free_dispersion_is_closed_form(n, rows, data):
+    # the kept R of a tie-free response are a permutation of 1..n_eff
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    counts = rank_counts(rng.standard_normal(n))
+    assert counts.tie_free
+    dropped = data.draw(st.integers(1, n - 2))
+    keep = np.ones((rows, n), dtype=bool)
+    for row in keep:
+        row[rng.choice(n, size=dropped, replace=False)] = False
+    n_eff = n - dropped
+    assert _dispersion_sums(_kept_counts(counts.R, keep), n_eff) == (
+        [n_eff * (n_eff**2 - 1) // 6] * rows
+    )
+
+
+def test_tie_free_flag():
+    assert rank_counts(np.array([0.5, -1.0, 2.0])).tie_free
+    assert not rank_counts(np.array([0.5, -1.0, 0.5])).tie_free
+    assert not rank_counts(np.array([0.0, -0.0, 1.0])).tie_free
+
+
+def packed_order(x, u):
+    return _tie_order(x, np.argsort(x, axis=1), np.sort(x, axis=1), u)
+
+
+def assert_lexsort_order(x, u):
+    assert np.array_equal(packed_order(x, u), np.lexsort((u, x), axis=1))
+
+
+class TestTieOrder:
+    """The packed-key order of tied rows equals np.lexsort((u, x), axis=1)."""
+
+    def test_genotype_rows(self):
+        rng = np.random.default_rng(0)
+        x = rng.binomial(2, rng.uniform(0.05, 0.5, (16, 1)), (16, 992)).astype(float)
+        assert_lexsort_order(x, rng.random(x.shape))
+
+    def test_forced_equal_u(self):
+        # quarters are multiples of 2**-53: many equal keys inside one level
+        rng = np.random.default_rng(1)
+        x = rng.integers(0, 3, (8, 1000)).astype(float)
+        u = rng.integers(0, 4, x.shape) / 4
+        assert_lexsort_order(x, u)
+        u = rng.random(x.shape)
+        u[:, 1::2] = u[:, ::2]  # equal pairs, within or across levels
+        assert_lexsort_order(x, u)
+
+    def test_signed_zeros_share_a_level(self):
+        rng = np.random.default_rng(2)
+        x = rng.choice([-0.0, 0.0, 1.0, -1.0], (8, 500))
+        assert_lexsort_order(x, rng.random(x.shape))
+
+    def test_many_levels_fall_back(self):
+        rng = np.random.default_rng(3)
+        x = np.stack([rng.permutation(3000).astype(float) for _ in range(3)])
+        x[:, 7] = x[:, 11]  # one tie among 2,999 levels
+        x[1] = np.round(x[1] / 1000)  # a row with few levels stays packed
+        assert_lexsort_order(x, rng.random(x.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 40), st.data())
+    def test_small_rows(self, rows, n, data):
+        values = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0])
+        x = np.array(data.draw(st.lists(values, min_size=rows * n, max_size=rows * n)))
+        eighths = st.integers(0, 7).map(lambda k: k / 8)
+        u = np.array(data.draw(st.lists(eighths, min_size=rows * n, max_size=rows * n)))
+        assert_lexsort_order(x.reshape(rows, n), u.reshape(rows, n))
