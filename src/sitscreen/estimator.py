@@ -19,6 +19,14 @@ evaluated here as a single correctly rounded division of exact integers.
 Everything depends on orderings alone, so the value is invariant under
 strictly increasing transformations of either variable.
 
+The kernel evaluates a block of covariates at once.  One in-place float
+sort orders the whole block: each value carries its row position in its
+low mantissa bits, which leaves values in distinct buckets in value order,
+so a row without near neighbours needs nothing more.  Only rows with ties
+(or values within a bucket's width of each other) are gathered and
+checked, and only tied rows draw tie-break keys.  The response is sorted
+once, into the rank counts that both the kernel and the calibration use.
+
 Under independence of X and Y the scaled statistic
 
     z = sqrt(n (c - 1)) * value / sigma
@@ -124,6 +132,13 @@ class RankCounts:
         """No two responses are equal: r_i + R_i = n + 1 for every i."""
         return bool(np.all(self.r + self.R == self.r.shape[0] + 1))
 
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each observation's response level (0 for the smallest value) and
+        each level's size; -0.0 and 0.0 share a level."""
+        _, level, sizes = np.unique(self.r, return_inverse=True, return_counts=True)
+        return level, sizes
+
 
 @dataclass(frozen=True)
 class VarianceCalibration:
@@ -210,17 +225,19 @@ def rank_counts(y: np.ndarray) -> RankCounts:
     return RankCounts(r=r, R=R)
 
 
-def _dispersion_sums(R: np.ndarray, n: int) -> list[int]:
-    """Exact sum of R_i (n - R_i) along the last axis, one Python int per row.
+def _dispersion_sums(R: np.ndarray, n: int, weights=1) -> list[int]:
+    """Exact sum of weights * R (n - R) along the last axis, one Python int
+    per row; with unit weights, the sum of R_i (n - R_i) over a sample.
 
     A plain int64 sum wraps once n^3 / 6 passes 2^63 (n above about 4M).
     Each term (at most n^2 / 4) is split into its high and low 32-bit
-    halves; each half sums in int64 without overflow for n < 2^31, and the
-    two partial sums are combined as Python ints.
+    halves; each half sums in int64 without overflow for n < 2^31 as long
+    as a row's weights sum to at most n, and the two partial sums are
+    combined as Python ints.
     """
     terms = np.atleast_2d(R * (n - R))
-    high = np.sum(terms >> 32, axis=1)
-    low = np.sum(terms & 0xFFFFFFFF, axis=1)
+    high = np.sum(weights * (terms >> 32), axis=1)
+    low = np.sum(weights * (terms & 0xFFFFFFFF), axis=1)
     return [(int(h) << 32) + int(l) for h, l in zip(high, low)]
 
 
@@ -237,6 +254,27 @@ def _kept_counts(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
     at_most = hist.reshape(rows, n + 1).cumsum(axis=1)
     kept = np.broadcast_to(full, keep.shape)[keep].reshape(rows, -1)
     return kept - np.take_along_axis(at_most, kept, axis=1)
+
+
+def _kept_dispersion(counts: RankCounts, keep: np.ndarray, n_eff: int) -> list[int]:
+    """Dispersion sum of each row's kept subsample of the response.
+
+    Tie-free, the kept R are a permutation of 1..n_eff and the sum is
+    n_eff (n_eff^2 - 1) / 6.  Otherwise it is sum_l m_l R_l (n_eff - R_l)
+    over the response levels l, with m_l the level's kept count (its full
+    count less the row's drops there) and R_l the kept count at or above
+    it; the m_l sum to n_eff, as :func:`_dispersion_sums` requires.
+    """
+    rows = keep.shape[0]
+    if counts.tie_free:
+        return [n_eff * (n_eff**2 - 1) // 6] * rows
+    level, sizes = counts.levels
+    drop_rows, drop_cols = np.nonzero(~keep)
+    L = sizes.shape[0]
+    dropped = np.bincount(drop_rows * L + level[drop_cols], minlength=rows * L)
+    m = sizes - dropped.reshape(rows, L)
+    R = np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
+    return _dispersion_sums(R, n_eff, m)
 
 
 def _tie_order(x, order, ordered, u):
@@ -261,17 +299,57 @@ def _tie_order(x, order, ordered, u):
     return out
 
 
+def _packed_order(xt):
+    """Each row's argsort order, the rows with ties, and those rows sorted.
+
+    One in-place float sort per block: the keys are xt + 0.0 (which turns
+    -0.0 into 0.0) with their low b mantissa bits replaced by the position,
+    2**b >= n; ``SliceConfig.slices`` keeps b <= 32, inside the 52-bit
+    mantissa.  A finite key stays in its value's bucket, the values sharing
+    the high 64 - b bits, and buckets sort as their values do.  So a row whose
+    sorted keys have no two neighbours in one bucket has no ties, and the
+    positions read back are its unique argsort order.  Only the other
+    (``near``) rows, with exact ties or values within 2**b ulps, are
+    gathered by that order: it stands if it sorts the row, and a row it
+    does not sort (positions inside a bucket follow the row, not the
+    values) takes argsort and sort.
+    """
+    n = xt.shape[1]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = np.add(xt, 0.0, order="C")
+    bits = keys.view(np.uint64)
+    bits &= ~low
+    bits |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    order = (bits & low).view(np.int64)
+    near = np.flatnonzero(((bits[:, 1:] ^ bits[:, :-1]) <= low).any(axis=1))
+    if not near.size:
+        return order, near, None
+    ordered = np.take_along_axis(xt[near], order[near], axis=1)
+    redo = np.flatnonzero((ordered[:, 1:] < ordered[:, :-1]).any(axis=1))
+    if redo.size:
+        rows = xt[near[redo]]
+        order[near[redo]] = np.argsort(rows, axis=1)
+        ordered[redo] = np.sort(rows, axis=1)
+    # == also pairs -0.0 with 0.0, which the lexsort treats as a tie
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    return order, near[tied], ordered[tied]
+
+
 def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
     """Statistic of each row of a (columns, n) covariate block against y.
 
-    ``counts`` are the full response's rank counts, ``words[j]`` row j's
-    tie seed as its four :func:`~sitscreen.seeding.seed_words`, and ``gen``
-    one PCG64 generator that :func:`~sitscreen.seeding.reseed` puts in each
-    row's ``default_rng(tie seed)`` state.  Rows draw what
+    ``xt`` may be any view of the block, a transposed slice of the design
+    included: an untrimmed block is copied only by the key build of
+    :func:`_packed_order`.  ``counts`` are the full response's rank counts,
+    ``words[j]`` row j's tie seed as its four
+    :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
+    that :func:`~sitscreen.seeding.reseed` puts in each row's
+    ``default_rng(tie seed)`` state.  Rows draw what
     :func:`arrange_by_covariate` draws, in order, but tie-break keys only
-    for rows with ties: a tie-free row's argsort order is unique.  For
-    sorted slice ranks a_(j) the pairwise spread is
-    sum_j (2j - c + 1) a_(j), one sort per slice.
+    for rows with ties; a tie-free row's order is unique, and one float
+    sort of packed keys gives it.  For sorted slice ranks a_(j) the
+    pairwise spread is sum_j (2j - c + 1) a_(j), one sort per slice.
     """
     p, n = xt.shape
     n_eff = H * c
@@ -284,18 +362,12 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
         for j, row in enumerate(words.tolist()):
             keep[j, reseed(gen, row).choice(n, size=n - n_eff, replace=False)] = False
             drawn.append(gen.bit_generator.state)
-        xt = xt[keep].reshape(p, n_eff)
+        xt = np.ascontiguousarray(xt)[keep].reshape(p, n_eff)
         ranks = _kept_counts(counts.r, keep)
-        if counts.tie_free:  # kept R is then a permutation of 1..n_eff
-            den = [n_eff * (n_eff**2 - 1) // 6] * p
-        else:
-            den = _dispersion_sums(_kept_counts(counts.R, keep), n_eff)
+        den = _kept_dispersion(counts, keep, n_eff)
     if 0 in den:
         raise DegenerateResponse("response is constant after trimming")
-    order = np.argsort(xt, axis=1)
-    ordered = np.sort(xt, axis=1)  # cheaper than gathering xt by order
-    # == also pairs -0.0 with 0.0, which the lexsort treats as a tie
-    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    order, tied, ordered = _packed_order(xt)
     if tied.size:
         u = np.empty((tied.size, n_eff))
         for i, j in enumerate(tied):
@@ -304,7 +376,7 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
             else:
                 gen.bit_generator.state = drawn[j]
             u[i] = gen.random(n_eff)
-        order[tied] = _tie_order(xt[tied], order[tied], ordered[tied], u)
+        order[tied] = _tie_order(xt[tied], order[tied], ordered, u)
     # a shared rank vector takes a plain gather, several times faster
     sliced = ranks[order] if ranks.ndim == 1 else np.take_along_axis(ranks, order, 1)
     w = 2 * np.arange(c, dtype=np.int64) - (c - 1)
@@ -327,11 +399,11 @@ def sliced_estimate(
     tie seed always yields the same bits.
     """
     c, H = config.c, config.slices(sample.n)
+    counts = rank_counts(sample.y)
     if calibration is None:
-        calibration = auto_calibration(sample.y)
+        calibration = _auto_from_counts(counts)
     words = seed_words([config.tie_seed])
-    (value,) = _omega_block(sample.x[None, :], rank_counts(sample.y), words,
-                            rng_from_seed(0), c, H)
+    (value,) = _omega_block(sample.x[None, :], counts, words, rng_from_seed(0), c, H)
     z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
         omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c
@@ -432,10 +504,14 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     the empirical CDF.  Both reduce to sorted prefix sums, O(n log n) total.
     """
     y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if n < 2:
+    if y.shape[0] < 2:
         raise SampleTooSmall("need at least 2 observations")
-    counts = rank_counts(y)
+    return _plugin_from_counts(rank_counts(y))
+
+
+def _plugin_from_counts(counts: RankCounts) -> VarianceCalibration:
+    """:func:`plugin_calibration` of the response with these rank counts."""
+    n = counts.r.shape[0]
     theta2 = counts.dispersion / n**3
     if theta2 == 0.0:
         raise DegenerateResponse("response is constant")
@@ -457,8 +533,11 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
 
 def auto_calibration(y: np.ndarray) -> VarianceCalibration:
     """Fixed 4/5 calibration for tie-free responses, plug-in otherwise."""
-    y = np.asarray(y, dtype=np.float64)
-    if np.unique(y).shape[0] == y.shape[0]:
-        return VarianceCalibration.fixed()
-    return plugin_calibration(y)
+    return _auto_from_counts(rank_counts(y))
 
+
+def _auto_from_counts(counts: RankCounts) -> VarianceCalibration:
+    """:func:`auto_calibration` of the response with these rank counts."""
+    if counts.tie_free:
+        return VarianceCalibration.fixed()
+    return _plugin_from_counts(counts)

@@ -8,7 +8,8 @@ studies and the stability check.
 
 Every column is cut into the H slices of ``SliceConfig.slices``, the one
 row floor.  Each worker walks its span of columns in blocks of about
-BLOCK_CELLS cells and hands each block to one batched kernel.  Column k's
+BLOCK_CELLS cells and hands each block, as a transposed view of the design,
+to one batched kernel, which copies it as it builds its sort keys.  Column k's
 trimming and tie-break randomness comes from the seed hash(master_seed, k),
 drawn only when the column needs it (trimming, or ties among its values), so
 results are identical for any worker count and any chunking of the columns.
@@ -33,8 +34,8 @@ from .errors import (
 from .estimator import (
     SliceConfig,
     VarianceCalibration,
+    _auto_from_counts,
     _omega_block,
-    auto_calibration,
     p_value_from_z,
     rank_counts,
     z_statistic,
@@ -152,10 +153,9 @@ def screen_all(
         raise DegenerateResponse("response is constant")
     if np.all(data.x == data.x[0:1, :]):
         raise AllColumnsConstant("every covariate column is constant")
+    counts = rank_counts(y)  # the screen's one sort of the response
     if calibration is None:
-        calibration = auto_calibration(y)
-
-    counts = rank_counts(y)
+        calibration = _auto_from_counts(counts)
     p = data.p
     step = max(1, BLOCK_CELLS // data.n)
     omega = np.empty(p, dtype=np.float64)
@@ -165,8 +165,8 @@ def screen_all(
         gen = rng_from_seed(0)  # reseeded for every column that draws
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            block = np.ascontiguousarray(data.x[:, lo:hi].T)
-            omega[lo:hi] = _omega_block(block, counts, words[lo:hi], gen, c, H)
+            xt = data.x[:, lo:hi].T  # a view: the kernel's key build copies it
+            omega[lo:hi] = _omega_block(xt, counts, words[lo:hi], gen, c, H)
 
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:

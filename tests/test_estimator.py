@@ -20,7 +20,9 @@ from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
     _dispersion_sums,
     _kept_counts,
+    _kept_dispersion,
     _ndtr,
+    _packed_order,
     _tie_order,
     arrange_by_covariate,
     auto_calibration,
@@ -327,6 +329,33 @@ def test_trimmed_tie_free_dispersion_is_closed_form(n, rows, data):
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(4, 120), st.integers(1, 5), st.data())
+def test_kept_dispersion_from_level_drop_counts(n, rows, data):
+    # few levels with -0.0 and 0.0 on one of them, or up to n levels
+    few = st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.0])
+    many = st.integers(-10**6, 10**6).map(float)
+    y = np.array(data.draw(st.lists(few | many, min_size=n, max_size=n)))
+    counts = rank_counts(y)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dropped = data.draw(st.integers(1, n - 2))
+    keep = np.ones((rows, n), dtype=bool)
+    for row in keep:
+        row[rng.choice(n, size=dropped, replace=False)] = False
+    n_eff = n - dropped
+    assert _kept_dispersion(counts, keep, n_eff) == _dispersion_sums(
+        _kept_counts(counts.R, keep), n_eff
+    )
+
+
+def test_response_constant_after_trimming_raises():
+    # the one larger response value is the row that trimming drops
+    y = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
+    seed = next(s for s in range(100) if np.random.default_rng(s).choice(5, 1)[0] == 4)
+    with pytest.raises(DegenerateResponse, match="after trimming"):
+        sliced_estimate(PairedSample(np.arange(5.0), y), SliceConfig(2, tie_seed=seed))
+
+
 def test_tie_free_flag():
     assert rank_counts(np.array([0.5, -1.0, 2.0])).tie_free
     assert not rank_counts(np.array([0.5, -1.0, 0.5])).tie_free
@@ -379,3 +408,41 @@ class TestTieOrder:
         eighths = st.integers(0, 7).map(lambda k: k / 8)
         u = np.array(data.draw(st.lists(eighths, min_size=rows * n, max_size=rows * n)))
         assert_lexsort_order(x.reshape(rows, n), u.reshape(rows, n))
+
+
+class TestPackedOrder:
+    """One float sort gives each tie-free row its argsort order."""
+
+    def check(self, xt):
+        order, tied, ordered = _packed_order(xt)
+        gathered = np.take_along_axis(xt, order, axis=1)
+        assert (gathered[:, 1:] >= gathered[:, :-1]).all()
+        has_ties = (gathered[:, 1:] == gathered[:, :-1]).any(axis=1)
+        assert np.array_equal(tied, np.flatnonzero(has_ties))
+        untied = ~has_ties
+        assert np.array_equal(order[untied], np.argsort(xt[untied], axis=1))
+        if tied.size:
+            assert (ordered == gathered[tied]).all()
+
+    def test_kinds(self):
+        rng = np.random.default_rng(4)
+        n = 257
+        run = 1.0 + rng.permutation(n) * 2.0**-52  # inside one bucket
+        xt = np.stack([
+            rng.standard_normal(n),
+            run,
+            -run,
+            rng.choice([-1.0, 1.0], n) * run,
+            rng.choice([-0.0, 0.0, 5e-324, -5e-324], n),
+            rng.integers(-2**40, 2**40, n) * 5e-324,
+            rng.uniform(1, 2, n) * 2.0 ** rng.integers(-1070, 1021, n).astype(float),
+            rng.binomial(2, 0.3, n).astype(float),
+        ])
+        self.check(xt)
+        self.check(xt.T.copy().T)  # a strided view
+
+    def test_signed_zero_pair_is_a_tie(self):
+        xt = np.array([[3.0, -0.0, -2.0, 0.0, 1.0]])
+        order, tied, ordered = _packed_order(xt)
+        assert tied.tolist() == [0]
+        assert ordered.tolist() == [[-2.0, 0.0, 0.0, 1.0, 3.0]]

@@ -9,8 +9,10 @@ from sitscreen import (
     PairedSample,
     SliceConfig,
     by_threshold,
+    estimator,
     hard_threshold_select,
     screen_all,
+    screening,
     sliced_estimate,
 )
 from sitscreen.errors import (
@@ -19,6 +21,11 @@ from sitscreen.errors import (
     EmptyActiveSet,
     InvalidSize,
     SampleTooSmall,
+)
+from sitscreen.estimator import (
+    VarianceCalibration,
+    auto_calibration,
+    plugin_calibration,
 )
 from sitscreen.fdr import level_threshold_select
 from sitscreen.oracle import oracle_estimate
@@ -344,3 +351,93 @@ def test_tie_detection_decides_the_bits():
     expected = oracle_estimate(PairedSample(tied, y), column)
     assert result.omega[step] == expected
     assert oracle_estimate(PairedSample(untied, y), column) != expected
+
+
+def _packed_column(rng, kind, n, c):
+    run = 1.0 + rng.permutation(n) * 2.0**-52  # distinct values in one bucket
+    if kind == "ulp-run":
+        return run
+    if kind == "negative-ulp-run":
+        return -run
+    if kind == "mixed-ulp-run":
+        return rng.choice([-1.0, 1.0], n) * run
+    if kind == "signed-zero-pair":
+        # one -0.0 and one 0.0, the only tie, across a slice boundary when
+        # nothing is trimmed
+        below = c * int(rng.integers(1, n // c)) - 1
+        x = np.concatenate(
+            [-1 - rng.random(below), [-0.0, 0.0], 1 + rng.random(n - below - 2)]
+        )
+        return rng.permutation(x)
+    if kind == "tiny":
+        return rng.choice([-0.0, 0.0, 5e-324, -5e-324], n)
+    if kind == "subnormal":
+        return rng.integers(-(2**52) + 1, 2**52, n) * 5e-324
+    if kind == "exponents":
+        signs = rng.choice([-1.0, 1.0], n)
+        return signs * rng.uniform(1, 2, n) * 2.0 ** rng.integers(-1070, 1021, n)
+    return rng.binomial(2, rng.uniform(0.05, 0.5), n).astype(float)  # genotype
+
+
+PACKED_KINDS = ("ulp-run", "negative-ulp-run", "mixed-ulp-run", "signed-zero-pair",
+                "tiny", "subnormal", "exponents", "genotype")
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(5, 7), st.booleans(), st.sampled_from([2, 3, 4, 8]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_packed_order_on_adversarial_columns(k, plus_one, c, master, tied_y):
+    # n = 2**k fills the position bits exactly; n = 2**k + 1 needs one more,
+    # and is trimmed unless c divides it
+    n = 2**k + plus_one
+    rng = np.random.default_rng(master)
+    kinds = [*PACKED_KINDS, *rng.choice(PACKED_KINDS, 6)]
+    x = np.column_stack([_packed_column(rng, kind, n, c) for kind in kinds])
+    y = rng.integers(0, 5, n).astype(float) if tied_y else rng.standard_normal(n)
+    data = Dataset(x, y)
+    config = SliceConfig(c=c, tie_seed=master)
+    result = screen_all(data, config, threads=1)
+    for threads in (2, 8):
+        other = screen_all(data, config, threads=threads)
+        assert other.omega.tobytes() == result.omega.tobytes()
+        assert other.z.tobytes() == result.z.tobytes()
+        assert other.p_values.tobytes() == result.p_values.tobytes()
+    for j in range(data.p):
+        column = SliceConfig(c=c, tie_seed=derive_seed(master, j))
+        assert result.omega[j] == oracle_estimate(PairedSample(x[:, j], y), column)
+
+
+def test_response_is_sorted_once_per_screen(monkeypatch):
+    calls = []
+
+    def counted(y, real=estimator.rank_counts):
+        calls.append(len(y))
+        return real(y)
+
+    monkeypatch.setattr(estimator, "rank_counts", counted)
+    monkeypatch.setattr(screening, "rank_counts", counted)
+    rng = np.random.default_rng(9)
+    y = rng.integers(0, 3, 50).astype(float)  # tied: the plug-in calibration
+    result = screen_all(Dataset(rng.standard_normal((50, 4)), y), SliceConfig(c=4))
+    assert result.calibration.mode == "plugin"
+    assert calls == [50]
+
+
+@pytest.mark.parametrize("kind", ["tie-free", "tied", "signed-zeros"])
+def test_screen_calibration_matches_unique_count_rule(kind):
+    rng = np.random.default_rng(10)
+    y = {
+        "tie-free": rng.standard_normal(40),
+        "tied": rng.integers(0, 4, 40).astype(float),
+        "signed-zeros": np.concatenate([[-0.0, 0.0], rng.standard_normal(38)]),
+    }[kind]
+    if np.unique(y).shape[0] == y.shape[0]:
+        expected = VarianceCalibration.fixed()
+    else:
+        expected = plugin_calibration(y)
+    x = rng.standard_normal((40, 3))
+    result = screen_all(Dataset(x, y), SliceConfig(c=4))
+    assert result.calibration == expected == auto_calibration(y)
+    assert (kind == "tie-free") == (expected.mode == "fixed")
+    single = sliced_estimate(PairedSample(x[:, 0], y), SliceConfig(4, derive_seed(0, 0)))
+    assert single.z == result.z[0]
