@@ -28,7 +28,6 @@ from .errors import ConfigError, InputError, SitScreenError
 from .estimator import (
     SliceConfig,
     VarianceCalibration,
-    auto_calibration,
     plugin_calibration,
 )
 from .fdr import RULE_BH, RULE_BY, RULE_HARD_LEVEL, RULE_HARD_SIZE, ThresholdRule
@@ -151,11 +150,13 @@ def build_parser() -> _Parser:
 
 
 def _calibration_for(mode: str, y):
+    """The calibration ``--sigma`` asks for; None (auto) leaves it to
+    ``screen_all``, which calibrates from the response's one sort."""
     if mode == "fixed":
         return VarianceCalibration.fixed()
     if mode == "plugin":
         return plugin_calibration(y)
-    return auto_calibration(y)
+    return None
 
 
 def _screen_once(args, data: Dataset, seed: int):

@@ -25,7 +25,9 @@ low mantissa bits, which leaves values in distinct buckets in value order,
 so a row without near neighbours needs nothing more.  Only rows with ties
 (or values within a bucket's width of each other) are gathered and
 checked, and only tied rows draw tie-break keys.  The response is sorted
-once, into the rank counts that both the kernel and the calibration use.
+once, by one ``np.unique`` into a level table (each observation's level,
+each level's size); the kernel's rank counts r and dispersion sums, a
+trimmed column's included, and the calibration all follow from it.
 
 Under independence of X and Y the scaled statistic
 
@@ -117,27 +119,30 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class RankCounts:
-    """Per-observation right counts r_i = #{y_j <= y_i} and R_i = #{y_j >= y_i}."""
+    """The response's level table: each observation's dense ``level`` (0 for
+    the smallest value; -0.0 and 0.0 share a level) and each level's size.
 
-    r: np.ndarray
-    R: np.ndarray
+    The rank counts follow from it: r_i = #{y_j <= y_i} is the cumulative
+    size at y_i's level, and R_i = #{y_j >= y_i} is n less the sizes below.
+    """
+
+    level: np.ndarray
+    sizes: np.ndarray
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """Each observation's right count r_i = #{y_j <= y_i}."""
+        return np.cumsum(self.sizes)[self.level]
 
     @cached_property
     def dispersion(self) -> int:
         """Exact sum of R_i (n - R_i) over the sample, taken on first use."""
-        return _dispersion_sums(self.R, self.R.shape[0])[0]
+        return _dispersion_sums(self.sizes, self.level.shape[0])[0]
 
-    @cached_property
+    @property
     def tie_free(self) -> bool:
-        """No two responses are equal: r_i + R_i = n + 1 for every i."""
-        return bool(np.all(self.r + self.R == self.r.shape[0] + 1))
-
-    @cached_property
-    def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each observation's response level (0 for the smallest value) and
-        each level's size; -0.0 and 0.0 share a level."""
-        _, level, sizes = np.unique(self.r, return_inverse=True, return_counts=True)
-        return level, sizes
+        """No two responses are equal: every level holds one observation."""
+        return self.sizes.shape[0] == self.level.shape[0]
 
 
 @dataclass(frozen=True)
@@ -213,68 +218,51 @@ def arrange_by_covariate(sample: PairedSample, config: SliceConfig) -> np.ndarra
 
 
 def rank_counts(y: np.ndarray) -> RankCounts:
-    """Right counts of a response vector against its own values.
-
-    ``r[i]`` counts values <= y[i], ``R[i]`` counts values >= y[i]; both are
-    taken over the full vector, in the order ``y`` is given.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    ys = np.sort(y)
-    r = np.searchsorted(ys, y, side="right").astype(np.int64)
-    R = (y.shape[0] - np.searchsorted(ys, y, side="left")).astype(np.int64)
-    return RankCounts(r=r, R=R)
+    """The level table of a response vector, in the order ``y`` is given:
+    its one sort, from which every rank count is read."""
+    _, level, sizes = np.unique(
+        np.asarray(y, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    return RankCounts(level=level, sizes=sizes)
 
 
-def _dispersion_sums(R: np.ndarray, n: int, weights=1) -> list[int]:
-    """Exact sum of weights * R (n - R) along the last axis, one Python int
-    per row; with unit weights, the sum of R_i (n - R_i) over a sample.
+def _dispersion_sums(m: np.ndarray, n: int) -> list[int]:
+    """Exact sum of R_i (n - R_i) over each sample whose level sizes are a
+    row of ``m``, one Python int per row: sum_l m_l R_l (n - R_l) with
+    R_l = n - cumsum(m)_l + m_l the count at or above level l.
 
-    A plain int64 sum wraps once n^3 / 6 passes 2^63 (n above about 4M).
-    Each term (at most n^2 / 4) is split into its high and low 32-bit
-    halves; each half sums in int64 without overflow for n < 2^31 as long
-    as a row's weights sum to at most n, and the two partial sums are
+    A plain int64 sum wraps once n^3 / 6 passes 2^63 (n above about 4M), so
+    each term (at most n^2 / 4) is split into 32-bit halves; each half sums
+    in int64 for n < 2^31, the sizes summing to n, and the halves are
     combined as Python ints.
     """
-    terms = np.atleast_2d(R * (n - R))
-    high = np.sum(weights * (terms >> 32), axis=1)
-    low = np.sum(weights * (terms & 0xFFFFFFFF), axis=1)
+    m = np.atleast_2d(m)
+    R = n - np.cumsum(m, axis=1) + m
+    terms = R * (n - R)
+    high = np.sum(m * (terms >> 32), axis=1)
+    low = np.sum(m * (terms & 0xFFFFFFFF), axis=1)
     return [(int(h) << 32) + int(l) for h, l in zip(high, low)]
 
 
-def _kept_counts(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Rank counts over each row's kept subsample, from full-sample counts.
+def _kept_counts(counts, keep, n_eff) -> tuple[np.ndarray, list[int]]:
+    """Rank counts r and dispersion sum of each row's kept subsample.
 
-    Counts are strictly monotone in y, so a row's kept r_i is r_i minus
-    #{dropped j : r_j <= r_i}, read off a cumulative histogram of the row's
-    dropped counts; exact with ties, and the same holds for R.
-    """
-    rows, n = keep.shape
-    drop_rows, drop_cols = np.nonzero(~keep)
-    hist = np.bincount(drop_rows * (n + 1) + full[drop_cols], minlength=rows * (n + 1))
-    at_most = hist.reshape(rows, n + 1).cumsum(axis=1)
-    kept = np.broadcast_to(full, keep.shape)[keep].reshape(rows, -1)
-    return kept - np.take_along_axis(at_most, kept, axis=1)
-
-
-def _kept_dispersion(counts: RankCounts, keep: np.ndarray, n_eff: int) -> list[int]:
-    """Dispersion sum of each row's kept subsample of the response.
-
+    With m_l the kept size of response level l (its full size less the
+    row's drops there), a kept observation's r is the cumulative m at its
+    level, and the dispersion sum is :func:`_dispersion_sums` of m.
     Tie-free, the kept R are a permutation of 1..n_eff and the sum is
-    n_eff (n_eff^2 - 1) / 6.  Otherwise it is sum_l m_l R_l (n_eff - R_l)
-    over the response levels l, with m_l the level's kept count (its full
-    count less the row's drops there) and R_l the kept count at or above
-    it; the m_l sum to n_eff, as :func:`_dispersion_sums` requires.
+    n_eff (n_eff^2 - 1) / 6.
     """
-    rows = keep.shape[0]
-    if counts.tie_free:
-        return [n_eff * (n_eff**2 - 1) // 6] * rows
-    level, sizes = counts.levels
+    rows, L = keep.shape[0], counts.sizes.shape[0]
     drop_rows, drop_cols = np.nonzero(~keep)
-    L = sizes.shape[0]
-    dropped = np.bincount(drop_rows * L + level[drop_cols], minlength=rows * L)
-    m = sizes - dropped.reshape(rows, L)
-    R = np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
-    return _dispersion_sums(R, n_eff, m)
+    dropped = np.bincount(drop_rows * L + counts.level[drop_cols], minlength=rows * L)
+    m = counts.sizes - dropped.reshape(rows, L)
+    at_most = np.cumsum(m, axis=1)
+    level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(rows, n_eff)
+    ranks = np.take_along_axis(at_most, level, axis=1)
+    if counts.tie_free:
+        return ranks, [n_eff * (n_eff**2 - 1) // 6] * rows
+    return ranks, _dispersion_sums(m, n_eff)
 
 
 def _tie_order(x, order, ordered, u):
@@ -341,8 +329,9 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
 
     ``xt`` may be any view of the block, a transposed slice of the design
     included: an untrimmed block is copied only by the key build of
-    :func:`_packed_order`.  ``counts`` are the full response's rank counts,
-    ``words[j]`` row j's tie seed as its four
+    :func:`_packed_order`.  ``counts`` is the full response's level table,
+    which gives a trimmed row its kept r and ``den`` through
+    :func:`_kept_counts`; ``words[j]`` row j's tie seed as its four
     :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
     that :func:`~sitscreen.seeding.reseed` puts in each row's
     ``default_rng(tie seed)`` state.  Rows draw what
@@ -363,8 +352,7 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
             keep[j, reseed(gen, row).choice(n, size=n - n_eff, replace=False)] = False
             drawn.append(gen.bit_generator.state)
         xt = np.ascontiguousarray(xt)[keep].reshape(p, n_eff)
-        ranks = _kept_counts(counts.r, keep)
-        den = _kept_dispersion(counts, keep, n_eff)
+        ranks, den = _kept_counts(counts, keep, n_eff)
     if 0 in den:
         raise DegenerateResponse("response is constant after trimming")
     order, tied, ordered = _packed_order(xt)
@@ -400,6 +388,8 @@ def sliced_estimate(
     """
     c, H = config.c, config.slices(sample.n)
     counts = rank_counts(sample.y)
+    if counts.sizes.shape[0] == 1:
+        raise DegenerateResponse("response is constant")
     if calibration is None:
         calibration = _auto_from_counts(counts)
     words = seed_words([config.tie_seed])
@@ -511,13 +501,14 @@ def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
 
 def _plugin_from_counts(counts: RankCounts) -> VarianceCalibration:
     """:func:`plugin_calibration` of the response with these rank counts."""
-    n = counts.r.shape[0]
-    theta2 = counts.dispersion / n**3
-    if theta2 == 0.0:
+    n = counts.level.shape[0]
+    if counts.sizes.shape[0] == 1:
         raise DegenerateResponse("response is constant")
-    # With u = F(y) sorted ascending, min(u_j, u_l) = u_j for j < l, so the
-    # pair sum collapses to sum_l (1-u_l)^2 * prefix_sum(u^2).
-    u = np.sort(counts.r) / n
+    theta2 = counts.dispersion / n**3
+    # With u = F(y) sorted ascending (each level's r repeated by its size),
+    # min(u_j, u_l) = u_j for j < l, so the pair sum collapses to
+    # sum_l (1-u_l)^2 * prefix_sum(u^2).
+    u = np.repeat(np.cumsum(counts.sizes), counts.sizes) / n
     head = np.cumsum(u**2)[:-1]
     tail = (1.0 - u[1:]) ** 2
     theta1 = 2.0 * float(tail @ head) / (n * (n - 1))

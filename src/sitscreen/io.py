@@ -160,8 +160,17 @@ def _scan_rows(fh, path, header: list[str]) -> np.ndarray:
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:
-    """Center each column; scale to unit sample variance where possible."""
+    """Center each column; scale to unit sample variance where possible.
+
+    The variance squares the centred values, which overflow past 2**512, so
+    a column whose largest magnitude reaches 2**500 is first divided by the
+    power of two that brings it below 1: exact, and standardising undoes
+    any such scale.  Other columns keep their bits.
+    """
     x = np.asarray(x, dtype=np.float64)
+    _, exp = np.frexp(np.abs(x).max(axis=0, initial=0.0))
+    if (exp > 500).any():
+        x = np.ldexp(x, np.where(exp > 500, -exp, 0))
     centered = x - x.mean(axis=0)
     if x.shape[0] < 2:
         return centered

@@ -71,15 +71,24 @@ def screen_report(
     }
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only if a comma, quote or line
+    break in it needs that (the csv module's minimal quoting)."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def plot_data_lines(result: ScreeningResult, selected, names, threshold) -> list[str]:
     """Scatterplot export: ``index,name,omega,selected`` rows, then the
-    threshold row ``THRESHOLD,,<value>,`` (p + 1 lines, no header)."""
+    threshold row ``THRESHOLD,,<value>,`` (p + 1 lines, no header).  A name
+    is quoted as CSV quotes it, so a name holding a line break spans lines."""
     selected_mask = np.zeros(result.p, dtype=bool)
     selected_mask[np.asarray(selected, dtype=np.intp)] = True
     omega = result.omega.tolist()  # floats: repr of a numpy scalar is not a number
     lines = []
     for k in range(result.p):
-        name = names[k] if names is not None else ""
+        name = _csv_field(names[k]) if names is not None else ""
         lines.append(f"{k},{name},{omega[k]!r},{int(selected_mask[k])}")
     value = threshold if math.isfinite(threshold) else math.inf
     lines.append(f"THRESHOLD,,{value!r},")

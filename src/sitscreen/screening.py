@@ -148,14 +148,14 @@ def screen_all(
     Too few rows for two slices raise SampleTooSmall before any other check.
     """
     c, H = config.c, config.slices(data.n)
-    y = data.y
-    if np.all(y == y[0]):
+    counts = rank_counts(data.y)  # the screen's one sort of the response
+    if counts.sizes.shape[0] == 1:
         raise DegenerateResponse("response is constant")
-    if np.all(data.x == data.x[0:1, :]):
-        raise AllColumnsConstant("every covariate column is constant")
-    counts = rank_counts(y)  # the screen's one sort of the response
+    # a calibration that objects does so before the column check, under every --sigma
     if calibration is None:
         calibration = _auto_from_counts(counts)
+    if np.all(data.x == data.x[0:1, :]):
+        raise AllColumnsConstant("every covariate column is constant")
     p = data.p
     step = max(1, BLOCK_CELLS // data.n)
     omega = np.empty(p, dtype=np.float64)

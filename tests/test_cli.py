@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sitscreen
-from sitscreen import errors, simlab
+from sitscreen import errors, estimator, screening, simlab
 from sitscreen.cli import auto_slice_size, default_hard_size, main
 
 
@@ -142,6 +143,24 @@ class TestScreen:
         table = np.genfromtxt(plot, delimiter=",", usecols=2)
         assert np.isfinite(table).all() and table.shape == (41,)
 
+    def test_plot_data_quotes_names_as_csv(self, tmp_path):
+        names = ["a,b", 'say "hi"', "two\nlines", "plain"]
+        rng = np.random.default_rng(1)
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*names, "y"])
+            writer.writerows(rng.standard_normal((64, 5)).tolist())
+        plot = tmp_path / "plot.csv"
+        assert run_cli(["screen", "--input", str(data), "--response", "y",
+                        "--output", str(tmp_path / "r.json"),
+                        "--plot-data", str(plot)]) == 0
+        with open(plot, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [4] * 5
+        assert [row[1] for row in rows[:-1]] == names
+        assert "plain," in plot.read_text()  # a plain name keeps its bytes
+
     def test_bad_plot_data_path_leaves_no_report(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(["screen", "--input", signal_csv(tmp_path), "--response", "y",
@@ -195,6 +214,39 @@ class TestScreen:
         omega_std = [r["omega"] for r in load(std)["covariates"]]
         assert omega_raw == omega_std
 
+    def test_standardize_keeps_omega_of_a_huge_column(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((64, 3))
+        x[:, 0] = 1e200 * rng.standard_normal(64)
+        y = x[:, 0] + rng.standard_normal(64)
+        csv_path = write_csv(tmp_path / "huge.csv", x, y)
+        omegas = []
+        for flags in ([], ["--standardize"]):
+            out = tmp_path / "r.json"
+            assert run_cli(["screen", "--input", csv_path, "--response", "y",
+                            *flags, "--output", str(out)]) == 0
+            omegas.append([r["omega"] for r in load(out)["covariates"]])
+        assert omegas[0] == omegas[1]
+        assert capsys.readouterr().err == ""
+
+    def test_auto_sigma_sorts_the_response_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(y, real=estimator.rank_counts):
+            calls.append(len(y))
+            return real(y)
+
+        monkeypatch.setattr(estimator, "rank_counts", counted)
+        monkeypatch.setattr(screening, "rank_counts", counted)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((64, 3))
+        tied = write_csv(tmp_path / "tied.csv", x, rng.integers(0, 3, 64))
+        out = tmp_path / "r.json"
+        assert run_cli(["screen", "--input", tied, "--response", "y",
+                        "--output", str(out)]) == 0
+        assert load(out)["calibration"]["mode"] == "plugin"
+        assert calls == [64]
+
     def test_deterministic_across_thread_counts(self, tmp_path, monkeypatch):
         csv_path = signal_csv(tmp_path, seed=4, n=128, p=23)  # prime p, trim path
         payloads = []
@@ -230,11 +282,12 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_degenerate_response(self, tmp_path):
+    def test_degenerate_response(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((32, 3))
         path = write_csv(tmp_path / "flat.csv", x, np.zeros(32))
         assert run_cli(["screen", "--input", path, "--response", "y"]) == 3
+        assert capsys.readouterr().err == "error: response is constant\n"
 
     def test_bad_q(self, tmp_path):
         csv_path = signal_csv(tmp_path)

@@ -18,9 +18,7 @@ from sitscreen.errors import (
 )
 from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
-    _dispersion_sums,
     _kept_counts,
-    _kept_dispersion,
     _ndtr,
     _packed_order,
     _tie_order,
@@ -218,20 +216,52 @@ def test_exact_dispersion_sum_beyond_int64():
     assert plugin_calibration(x).theta2 == (n * (n * n - 1) // 6) / n**3
 
 
+def literal_counts(y):
+    """r_i = #{y_j <= y_i} and the sum of R_i (n - R_i), R_i = #{y_j >= y_i},
+    by comparing every pair."""
+    r = (y[None, :] <= y[:, None]).sum(axis=1)
+    R = (y[None, :] >= y[:, None]).sum(axis=1)
+    return r.tolist(), sum(int(v) * (y.shape[0] - int(v)) for v in R)
+
+
+# few levels with -0.0 and 0.0 on one of them, up to n levels, or a mix
+FEW_LEVELS = st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.0])
+MANY_LEVELS = st.integers(-10**6, 10**6).map(float)
+LEVEL_MIXES = st.sampled_from([FEW_LEVELS, MANY_LEVELS, FEW_LEVELS | MANY_LEVELS])
+
+
+def trimmed_rows(rng, n, rows, dropped):
+    keep = np.ones((rows, n), dtype=bool)
+    for row in keep:
+        row[rng.choice(n, size=dropped, replace=False)] = False
+    return keep
+
+
 class TestRankCounts:
-    def test_bounds_and_mirror(self):
-        y = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        counts = rank_counts(y)
-        n = len(y)
-        assert ((counts.r >= 1) & (counts.r <= n)).all()
-        assert ((counts.R >= 1) & (counts.R <= n)).all()
-        # r counts <=, R counts >=; they overlap exactly on ties
-        assert (counts.r + counts.R >= n).all()
+    def test_worked_level_table(self):
+        counts = rank_counts(np.array([3.0, 1.0, 4.0, 1.0, 5.0, -0.0, 0.0]))
+        assert counts.level.tolist() == [2, 1, 3, 1, 4, 0, 0]
+        assert counts.sizes.tolist() == [2, 2, 1, 1, 1]
+        assert counts.r.tolist() == [5, 4, 6, 4, 7, 2, 2]
+        # R = [3, 5, 2, 5, 1, 7, 7]
+        assert counts.dispersion == 3 * 4 + 5 * 2 + 2 * 5 + 5 * 2 + 1 * 6
+        assert not counts.tie_free
 
     def test_distinct_values_same_multiset(self):
-        y = np.array([0.4, -2.0, 3.3, 1.1])
+        counts = rank_counts(np.array([0.4, -2.0, 3.3, 1.1]))
+        assert sorted(counts.r) == [1, 2, 3, 4]
+        assert counts.sizes.tolist() == [1, 1, 1, 1] and counts.tie_free
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 80), st.data())
+    def test_counts_are_literal_comparisons(self, n, data):
+        values = data.draw(LEVEL_MIXES)
+        y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         counts = rank_counts(y)
-        assert sorted(counts.r) == sorted(counts.R) == [1, 2, 3, 4]
+        r, dispersion = literal_counts(y)
+        assert counts.r.tolist() == r
+        assert counts.dispersion == dispersion
+        assert counts.tie_free == (sorted(r) == list(range(1, n + 1)))
 
 
 int_arrays = st.lists(st.integers(min_value=-20, max_value=20), min_size=8, max_size=48)
@@ -317,35 +347,29 @@ def test_consistency_grows_with_n():
 def test_trimmed_tie_free_dispersion_is_closed_form(n, rows, data):
     # the kept R of a tie-free response are a permutation of 1..n_eff
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    counts = rank_counts(rng.standard_normal(n))
+    y = rng.standard_normal(n)
+    counts = rank_counts(y)
     assert counts.tie_free
     dropped = data.draw(st.integers(1, n - 2))
-    keep = np.ones((rows, n), dtype=bool)
-    for row in keep:
-        row[rng.choice(n, size=dropped, replace=False)] = False
+    keep = trimmed_rows(rng, n, rows, dropped)
     n_eff = n - dropped
-    assert _dispersion_sums(_kept_counts(counts.R, keep), n_eff) == (
-        [n_eff * (n_eff**2 - 1) // 6] * rows
-    )
+    ranks, den = _kept_counts(counts, keep, n_eff)
+    assert den == [n_eff * (n_eff**2 - 1) // 6] * rows
+    for j in range(rows):
+        assert (ranks[j].tolist(), den[j]) == literal_counts(y[keep[j]])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(4, 120), st.integers(1, 5), st.data())
 def test_kept_dispersion_from_level_drop_counts(n, rows, data):
-    # few levels with -0.0 and 0.0 on one of them, or up to n levels
-    few = st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.0])
-    many = st.integers(-10**6, 10**6).map(float)
-    y = np.array(data.draw(st.lists(few | many, min_size=n, max_size=n)))
-    counts = rank_counts(y)
+    values = data.draw(LEVEL_MIXES)
+    y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dropped = data.draw(st.integers(1, n - 2))
-    keep = np.ones((rows, n), dtype=bool)
-    for row in keep:
-        row[rng.choice(n, size=dropped, replace=False)] = False
-    n_eff = n - dropped
-    assert _kept_dispersion(counts, keep, n_eff) == _dispersion_sums(
-        _kept_counts(counts.R, keep), n_eff
-    )
+    keep = trimmed_rows(rng, n, rows, dropped)
+    ranks, den = _kept_counts(rank_counts(y), keep, n - dropped)
+    for j in range(rows):
+        assert (ranks[j].tolist(), den[j]) == literal_counts(y[keep[j]])
 
 
 def test_response_constant_after_trimming_raises():
@@ -354,6 +378,13 @@ def test_response_constant_after_trimming_raises():
     seed = next(s for s in range(100) if np.random.default_rng(s).choice(5, 1)[0] == 4)
     with pytest.raises(DegenerateResponse, match="after trimming"):
         sliced_estimate(PairedSample(np.arange(5.0), y), SliceConfig(2, tie_seed=seed))
+
+
+def test_constant_untrimmed_response_is_named_constant():
+    # with the caller's calibration nothing calibrates; the table refuses it
+    sample = PairedSample(np.arange(64.0), np.full(64, 2.5))
+    with pytest.raises(DegenerateResponse, match="^response is constant$"):
+        sliced_estimate(sample, SliceConfig(8), VarianceCalibration.fixed())
 
 
 def test_tie_free_flag():

@@ -111,6 +111,27 @@ def test_standardize_constant_column_only_centered():
     assert out[:, 1].var(ddof=1) == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 4), st.data())
+def test_standardize_undoes_a_huge_power_of_two(n, p, data):
+    # multiples of 2**-20 up to 2**20: no square over- or underflows unscaled
+    cells = st.integers(-2**40, 2**40).map(lambda v: v / 2**20)
+    x = np.array(data.draw(st.lists(cells, min_size=n * p, max_size=n * p)))
+    x = x.reshape(n, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = standardize_columns(x * 2.0**600)
+    assert huge.tobytes() == standardize_columns(x).tobytes()
+
+
+def test_standardize_keeps_columns_below_the_bound():
+    x = np.column_stack([np.arange(6.0) * 2.0**498, np.arange(6.0) * 2.0**501])
+    out = standardize_columns(x)
+    centered = x[:, 0] - x[:, 0].mean()
+    assert out[:, 0].tobytes() == (centered / centered.std(ddof=1)).tobytes()
+    assert out[:, 1].tobytes() == standardize_columns(np.arange(6.0)[:, None]).tobytes()
+
+
 def test_quoted_fields(tmp_path):
     path = write(tmp_path, '"x,1",y\n1,2\n3,4\n')
     data = ingest_csv(path, "y")
