@@ -4,8 +4,9 @@ These transcribe the defining formulas literally (loops, no prefix tricks)
 and exist to validate the optimized paths by exact comparison: any mismatch
 is a bug, never a tolerance case.  The machinery shared with the fast path
 is the tie-broken arrangement of the sample (same seed, same ordering),
-without which exact equality would be ill-posed, and, in the estimated-FDP
-curve :func:`fdp_hat`, the scaling ``z_statistic``/``p_value_from_z``.
+without which exact equality would be ill-posed, the seeded normal draws
+of :func:`oracle_design`, and, in the estimated-FDP curve :func:`fdp_hat`,
+the scaling ``z_statistic``/``p_value_from_z``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .estimator import (
 )
 from .fdr import RULE_BY, FdrConfig, harmonic_number
 from .screening import ScreeningResult
+from .seeding import rng_from_seed
 
 
 def oracle_estimate(sample: PairedSample, config: SliceConfig) -> float:
@@ -51,6 +53,23 @@ def oracle_estimate(sample: PairedSample, config: SliceConfig) -> float:
     num_total = (n_eff - 1) * num
     den_total = (c - 1) * den
     return (den_total - num_total) / den_total
+
+
+def oracle_design(spec) -> np.ndarray:
+    """The AR(1) design from a separate draw buffer, one column at a time.
+
+    ``spec`` is a ``simlab.DesignSpec``.  Each column is formed as
+    ``rho * x[:, k-1] + carry * eps[:, k]`` into a fresh C-ordered output,
+    the reference for the in-place recursion of ``generate_design``.
+    """
+    rng = rng_from_seed(spec.seed)
+    eps = rng.standard_normal((spec.n, spec.p))
+    x = np.empty((spec.n, spec.p))
+    x[:, 0] = eps[:, 0]
+    carry = np.sqrt(1.0 - spec.rho**2)
+    for k in range(1, spec.p):
+        x[:, k] = spec.rho * x[:, k - 1] + carry * eps[:, k]
+    return x
 
 
 def oracle_threshold(

@@ -154,7 +154,10 @@ def screen_all(
     # a calibration that objects does so before the column check, under every --sigma
     if calibration is None:
         calibration = _auto_from_counts(counts)
-    if np.all(data.x == data.x[0:1, :]):
+    # Rows 0 and 1 differ in nearly every real design; only a tie there needs
+    # the full n x p comparison.  `!=` keeps -0.0 equal to 0.0, as `==` does.
+    x = data.x
+    if not (x[1] != x[0]).any() and np.all(x == x[0:1, :]):
         raise AllColumnsConstant("every covariate column is constant")
     p = data.p
     step = max(1, BLOCK_CELLS // data.n)

@@ -2,8 +2,10 @@
 
 Covariates are drawn from a mean-zero Gaussian with covariance
 rho^|k - l| between columns k and l, realized by the exact AR(1) recursion
-X_1 = e_1, X_k = rho X_{k-1} + sqrt(1 - rho^2) e_k at O(np) cost.  Twelve
-response models are available in three families:
+X_1 = e_1, X_k = rho X_{k-1} + sqrt(1 - rho^2) e_k at O(np) cost.  The
+recursion runs in place in the buffer the normals are drawn into, so a
+replication holds one n x p array.  Twelve response models are available
+in three families:
 
   a1  y = x' beta + 2 e          (normal noise)        active: first s
   a2  y = x' beta + 2 e          (t3 noise)
@@ -160,16 +162,25 @@ class ModelSpec:
     def min_p(self) -> int:
         return max(self.active_set) + 1
 
+    def check_width(self, p: int) -> None:
+        """Refuse a design with fewer than ``min_p`` columns."""
+        if p < self.min_p():
+            raise IncompatibleDimensions(
+                f"model {self.id} needs p >= {self.min_p()}, got {p}"
+            )
+
 
 def generate_design(spec: DesignSpec) -> np.ndarray:
-    """Draw the n x p Gaussian design with correlation rho^|k-l|."""
-    rng = rng_from_seed(spec.seed)
-    eps = rng.standard_normal((spec.n, spec.p))
-    x = np.empty((spec.n, spec.p))
-    x[:, 0] = eps[:, 0]
-    carry = np.sqrt(1.0 - spec.rho**2)
+    """Draw the n x p Gaussian design with correlation rho^|k-l|.
+
+    The recursion overwrites the draws column by column, and each element
+    takes the same two roundings as ``rho * x[:, k-1] + sqrt(1 - rho^2) *
+    e[:, k]`` computed from a separate buffer of draws e.
+    """
+    x = rng_from_seed(spec.seed).standard_normal((spec.n, spec.p))
+    x[:, 1:] *= np.sqrt(1.0 - spec.rho**2)
     for k in range(1, spec.p):
-        x[:, k] = spec.rho * x[:, k - 1] + carry * eps[:, k]
+        x[:, k] += spec.rho * x[:, k - 1]
     return x
 
 
@@ -183,10 +194,7 @@ def generate_response(x: np.ndarray, model: ModelSpec, seed: int) -> np.ndarray:
     if x.ndim != 2:
         raise IncompatibleDimensions("design must be a 2-D matrix")
     n, p = x.shape
-    if p < model.min_p():
-        raise IncompatibleDimensions(
-            f"model {model.id} needs p >= {model.min_p()}, got {p}"
-        )
+    model.check_width(p)
     fn, noise, _, fixed_active = _MODELS[model.id]
     rng = rng_from_seed(seed)
     eps = rng.standard_normal(n) if noise == "normal" else rng.standard_t(3, n)
@@ -349,6 +357,9 @@ def run_study(
     labels = [rule.label for rule in rules]
     if len(set(labels)) != len(labels):
         raise ConfigError("rule labels must be unique")
+    # refuse what generate_response and screen_all would, before any design
+    model.check_width(design.p)
+    SliceConfig(c=c).slices(design.n)
     outcomes = []
     for i in range(reps):
         outcome = run_replication(design, model, c, rules, i, master_seed)

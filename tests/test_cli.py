@@ -532,6 +532,32 @@ class TestSimulate:
     def test_bad_model_exits_config(self, tmp_path):
         assert run_cli(["simulate", "--model", "q7", "--reps", "1"]) == 4
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--model", "b1", "--p", "10"], 4, "model b1 needs p >= 21, got 10"),
+        (["--model", "a1", "--c", "1"], 4,
+         "slice size c must be an integer >= 2, got 1"),
+        (["--model", "a1", "--c", "40"], 3,
+         "need at least two slices: n=64 leaves 40 observations for slices of 40"),
+        (["--model", "b1", "--p", "10", "--c", "40"], 4,
+         "model b1 needs p >= 21, got 10"),
+    ])
+    def test_bad_settings_refused_before_any_design(
+        self, tmp_path, capsys, monkeypatch, flags, code, message
+    ):
+        calls = []
+        real = simlab.generate_design
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(simlab, "generate_design", counting)
+        argv = ["simulate", "--n", "64", "--p", "30", "--reps", "2", *flags,
+                "--output", str(tmp_path / "sim.json")]
+        assert run_cli(argv) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+
 
 class TestAugmentCheck:
     def test_identity_when_everything_kept(self, tmp_path):

@@ -127,6 +127,20 @@ class TestScreenAll:
         with pytest.raises(AllColumnsConstant):
             screen_all(Dataset(x, y), SliceConfig(c=2))
 
+    def test_rows_0_and_1_equal_with_a_later_row_different(self):
+        x = np.ones((16, 4))
+        x[9, 2] = 2.0
+        result = screen_all(Dataset(x, np.arange(16.0)), SliceConfig(c=2))
+        assert result.omega.shape == (4,)
+
+    def test_constant_columns_mixing_signed_zeros_raise(self):
+        x = np.zeros((16, 3))
+        x[0, :] = -0.0  # rows 0 and 1 differ only in sign: still constant
+        x[1::3, 1] = -0.0
+        x[:, 2] = 5.0
+        with pytest.raises(AllColumnsConstant):
+            screen_all(Dataset(x, np.arange(16.0)), SliceConfig(c=2))
+
     def test_null_pvalues_roughly_uniform(self):
         hits, total = 0, 0
         for rep in range(50):

@@ -1,14 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study
-from sitscreen.errors import ConfigError, IncompatibleDimensions, InvalidRho
+from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study, simlab
+from sitscreen.errors import (
+    ConfigError,
+    IncompatibleDimensions,
+    InvalidRho,
+    SampleTooSmall,
+)
+from sitscreen.oracle import oracle_design
 from sitscreen.simlab import (
+    MODEL_IDS,
     aggregate,
     generate_design,
     generate_response,
     run_replication,
 )
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestDesign:
@@ -38,6 +53,56 @@ class TestDesign:
         for rho in (1.0, -1.0, 1.5):
             with pytest.raises(InvalidRho):
                 DesignSpec(n=16, p=4, rho=rho)
+
+    def test_peak_memory_is_one_design(self):
+        spec = DesignSpec(n=512, p=400, rho=0.5, seed=3)
+        generate_design(spec)  # first-call set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            x = generate_design(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
+
+
+PINNED_SEEDS = (0, 2**64 - 1)
+PINNED_RHOS = (0.0, 0.999, -0.999, -0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 80),
+    st.integers(1, 60),
+    st.one_of(st.sampled_from(PINNED_RHOS), st.floats(-0.999, 0.999)),
+    st.one_of(st.sampled_from(PINNED_SEEDS), st.integers(0, 2**64 - 1)),
+)
+@example(4, 1, 0.0, 0)
+@example(80, 60, 0.999, 2**64 - 1)
+@example(17, 33, -0.999, 0)
+@example(64, 21, -0.5, 2**64 - 1)
+def test_design_matches_oracle_bits(n, p, rho, seed):
+    spec = DesignSpec(n=n, p=p, rho=rho, seed=seed)
+    x, ref = generate_design(spec), oracle_design(spec)
+    assert x.flags.c_contiguous and ref.flags.c_contiguous
+    assert np.array_equal(bits(x), bits(ref))
+
+
+@pytest.mark.parametrize("rho", PINNED_RHOS)
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_pinned_design_matches_oracle_bits(rho, seed):
+    spec = DesignSpec(n=48, p=40, rho=rho, seed=seed)
+    assert np.array_equal(bits(generate_design(spec)), bits(oracle_design(spec)))
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_response_bits_equal_on_oracle_design(model_id):
+    # x @ beta rounds by layout, so equal designs must also share it
+    spec = DesignSpec(n=96, p=45, rho=0.5, seed=21)
+    model = ModelSpec(model_id)
+    y = generate_response(generate_design(spec), model, seed=8)
+    ref = generate_response(oracle_design(spec), model, seed=8)
+    assert np.array_equal(bits(y), bits(ref))
 
 
 class TestModelSpec:
@@ -185,3 +250,40 @@ class TestRunStudy:
         with pytest.raises(ConfigError):
             run_study(DesignSpec(n=64, p=20, rho=0.0), ModelSpec("a1", s=2), 8,
                       [ThresholdRule(kind="hard-size", d=4)], reps=0, master_seed=1)
+
+
+class TestRefusedBeforeDesign:
+    """A bad width or slice size is refused before any design is drawn."""
+
+    @pytest.fixture
+    def designs(self, monkeypatch):
+        calls = []
+        real = simlab.generate_design
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(simlab, "generate_design", counting)
+        return calls
+
+    @pytest.mark.parametrize("p, c, error, message", [
+        (10, 8, IncompatibleDimensions, "model b1 needs p >= 21, got 10"),
+        (30, 1, ConfigError, "slice size c must be an integer >= 2, got 1"),
+        (30, 40, SampleTooSmall,
+         "need at least two slices: n=64 leaves 40 observations for slices of 40"),
+        (10, 40, IncompatibleDimensions, "model b1 needs p >= 21, got 10"),
+    ])
+    def test_refused_in_order(self, designs, p, c, error, message):
+        rules = [ThresholdRule(kind="hard-size", d=4)]
+        with pytest.raises(error) as info:
+            run_study(DesignSpec(n=64, p=p, rho=0.5), ModelSpec("b1"), c, rules,
+                      reps=2, master_seed=1)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert designs == []
+
+    def test_valid_settings_draw_one_design_per_rep(self, designs):
+        run_study(DesignSpec(n=64, p=30, rho=0.5), ModelSpec("b1"), 8,
+                  [ThresholdRule(kind="hard-size", d=4)], reps=2, master_seed=1)
+        assert len(designs) == 2
