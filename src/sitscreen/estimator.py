@@ -24,10 +24,16 @@ sort orders the whole block: each value carries its row position in its
 low mantissa bits, which leaves values in distinct buckets in value order,
 so a row without near neighbours needs nothing more.  Only rows with ties
 (or values within a bucket's width of each other) are gathered and
-checked, and only tied rows draw tie-break keys.  The response is sorted
-once, by one ``np.unique`` into a level table (each observation's level,
-each level's size); the kernel's rank counts r and dispersion sums, a
-trimmed column's included, and the calibration all follow from it.
+checked, and only tied rows draw tie-break keys.  Tied rows are ordered by
+a second in-place sort, of integer keys that pack each value's level, its
+tie-break key and its position.  The response is sorted once, by one
+``np.unique`` into a level table (each observation's level, each level's
+size); the kernel's rank counts r and dispersion sums and the calibration
+all follow from it.  Trimmed columns draw their drops for many columns at
+once (:func:`~sitscreen.seeding.trim_draws` reproduces numpy's ``choice`` in
+both of its regimes, Floyd's sampling and the partial shuffle), and their
+kept rank counts come from one table per batch of columns
+(:func:`_trim_table`).
 
 Under independence of X and Y the scaled statistic
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +60,7 @@ from .errors import (
     InvalidCalibration,
     SampleTooSmall,
 )
-from .seeding import reseed, rng_from_seed, seed_words
+from .seeding import check_trim_draws, reseed, rng_from_seed, seed_words, trim_draws
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
@@ -244,44 +251,84 @@ def _dispersion_sums(m: np.ndarray, n: int) -> list[int]:
     return [(int(h) << 32) + int(l) for h, l in zip(high, low)]
 
 
-def _kept_counts(counts, keep, n_eff) -> tuple[np.ndarray, list[int]]:
-    """Rank counts r and dispersion sum of each row's kept subsample.
+def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:
+    """Cumulative kept level sizes and dispersion sum of each row's kept
+    subsample, given the row indices each row drops.
 
-    With m_l the kept size of response level l (its full size less the
-    row's drops there), a kept observation's r is the cumulative m at its
-    level, and the dispersion sum is :func:`_dispersion_sums` of m.
-    Tie-free, the kept R are a permutation of 1..n_eff and the sum is
-    n_eff (n_eff^2 - 1) / 6.
+    A kept observation's r is the cumulative kept size at its level: the
+    full cumulative size less D(l), the row's drops at or below level l.
+    D is a step function with one step per drop, laid out by one
+    ``np.repeat`` of 0..rem over the runs between the sorted drop levels.
+    The dispersion sum is :func:`_dispersion_sums` of the kept sizes;
+    tie-free, the kept R are a permutation of 1..n_eff and the sum is
+    n_eff (n_eff^2 - 1) / 6.  The table is int32 below 2**31 rows.
     """
-    rows, L = keep.shape[0], counts.sizes.shape[0]
-    drop_rows, drop_cols = np.nonzero(~keep)
-    dropped = np.bincount(drop_rows * L + counts.level[drop_cols], minlength=rows * L)
-    m = counts.sizes - dropped.reshape(rows, L)
-    at_most = np.cumsum(m, axis=1)
-    level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(rows, n_eff)
-    ranks = np.take_along_axis(at_most, level, axis=1)
+    rows, rem = drops.shape
+    L = counts.sizes.shape[0]
+    dtype = np.int32 if n_eff < 2**31 else np.int64
+    runs = np.diff(np.sort(counts.level[drops], axis=1), axis=1, prepend=0, append=L)
+    below = np.repeat(np.tile(np.arange(rem + 1, dtype=dtype), rows), runs.ravel())
+    at_most = np.cumsum(counts.sizes).astype(dtype) - below.reshape(rows, L)
     if counts.tie_free:
-        return ranks, [n_eff * (n_eff**2 - 1) // 6] * rows
-    return ranks, _dispersion_sums(m, n_eff)
+        return at_most, [n_eff * (n_eff**2 - 1) // 6] * rows
+    return at_most, _dispersion_sums(np.diff(at_most, axis=1, prepend=0), n_eff)
+
+
+class _Trim(NamedTuple):
+    """The trimming of a run of columns: each one's dropped rows, the raw
+    PCG64 words its draw used, its cumulative kept level sizes and ``den``."""
+
+    drops: np.ndarray
+    used: np.ndarray
+    at_most: np.ndarray
+    den: list[int]
+
+    def rows(self, lo: int, hi: int) -> "_Trim":
+        return _Trim(*(field[lo:hi] for field in self))
+
+
+def _trim_table(counts: RankCounts, words, n_eff: int) -> _Trim:
+    """Draw the drops of every column seeded by a row of ``words`` and build
+    their kept counts, once for the whole run of columns."""
+    n = counts.level.shape[0]
+    check_trim_draws()
+    drops, used = trim_draws(words, n, n - n_eff)
+    at_most, den = _kept_counts(counts, drops, n_eff)
+    if 0 in den:
+        raise DegenerateResponse("response is constant after trimming")
+    return _Trim(drops, used, at_most, den)
+
+
+def _take_rows(a, idx):
+    """``np.take_along_axis(a, idx, axis=1)`` as one flat ``np.take``,
+    several times faster on small blocks."""
+    a = np.ascontiguousarray(a)
+    return np.take(a, idx + a.shape[1] * np.arange(a.shape[0])[:, None])
 
 
 def _tie_order(x, order, ordered, u):
     """``np.lexsort((u, x), axis=1)`` of tied rows, given each row's argsort
     ``order`` and sorted values ``ordered``.
 
-    One argsort of the exact keys level << 53 | u * 2**53, with level the
-    dense rank of x in its row (``!=`` keeps -0.0 and 0.0 on one level) and
-    u * 2**53 an integer, since random() returns multiples of 2**-53.  A row
-    with two equal keys, or with 2**11 levels or more, takes the lexsort.
+    One in-place sort of integer keys built in sorted order: level << 53 |
+    u * 2**53 with its low b bits replaced by the position, 2**b >= n.  The
+    level is the dense rank of x in its row (``!=`` keeps -0.0 and 0.0 on
+    one level) and u * 2**53 an integer, since random() returns multiples
+    of 2**-53.  The sorted keys' low bits are the order.  It stands unless
+    two neighbours share their high 64 - b bits (u equal down to the
+    position bits) or the row has 2**11 levels or more: those rows take the
+    lexsort.
     """
-    steps = np.zeros(x.shape, dtype=np.uint64)
-    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=steps[:, 1:])
-    level = np.empty_like(steps)
-    np.put_along_axis(level, order, steps, axis=1)
-    keys = level << np.uint64(53) | (u * 2.0**53).astype(np.uint64)
-    out = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(keys, out, axis=1)
-    fallback = (steps[:, -1] >= 2**11) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    low = np.uint64((1 << (x.shape[1] - 1).bit_length()) - 1)
+    keys = np.zeros(x.shape, dtype=np.uint64)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=keys[:, 1:])
+    levels = keys[:, -1].copy()
+    keys <<= np.uint64(53)
+    keys |= (_take_rows(u, order) * 2.0**53).astype(np.uint64) & ~low
+    keys |= order.view(np.uint64)
+    keys.sort(axis=1)
+    out = (keys & low).view(np.int64)
+    fallback = (levels >= 2**11) | ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
     if fallback.any():
         out[fallback] = np.lexsort((u[fallback], x[fallback]), axis=1)
     return out
@@ -298,11 +345,11 @@ def _packed_order(xt):
     sorted keys have no two neighbours in one bucket has no ties, and the
     positions read back are its unique argsort order.  Only the other
     (``near``) rows, with exact ties or values within 2**b ulps, are
-    gathered by that order: it stands if it sorts the row, and a row it
-    does not sort (positions inside a bucket follow the row, not the
-    values) takes argsort and sort.
+    gathered by that order (the block itself when every row is near): it
+    stands if it sorts the row, and a row it does not sort (positions
+    inside a bucket follow the row, not the values) takes argsort and sort.
     """
-    n = xt.shape[1]
+    p, n = xt.shape
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = np.add(xt, 0.0, order="C")
     bits = keys.view(np.uint64)
@@ -313,28 +360,33 @@ def _packed_order(xt):
     near = np.flatnonzero(((bits[:, 1:] ^ bits[:, :-1]) <= low).any(axis=1))
     if not near.size:
         return order, near, None
-    ordered = np.take_along_axis(xt[near], order[near], axis=1)
+    every = near.size == p
+    rows = xt if every else xt[near]
+    ordered = _take_rows(rows, order if every else order[near])
     redo = np.flatnonzero((ordered[:, 1:] < ordered[:, :-1]).any(axis=1))
     if redo.size:
-        rows = xt[near[redo]]
-        order[near[redo]] = np.argsort(rows, axis=1)
-        ordered[redo] = np.sort(rows, axis=1)
+        order[near[redo]] = np.argsort(rows[redo], axis=1)
+        ordered[redo] = np.sort(rows[redo], axis=1)
     # == also pairs -0.0 with 0.0, which the lexsort treats as a tie
     tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if tied.all():
+        return order, near, ordered
     return order, near[tied], ordered[tied]
 
 
-def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
+def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
     """Statistic of each row of a (columns, n) covariate block against y.
 
     ``xt`` may be any view of the block, a transposed slice of the design
     included: an untrimmed block is copied only by the key build of
     :func:`_packed_order`.  ``counts`` is the full response's level table,
-    which gives a trimmed row its kept r and ``den`` through
-    :func:`_kept_counts`; ``words[j]`` row j's tie seed as its four
+    ``words[j]`` row j's tie seed as its four
     :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
     that :func:`~sitscreen.seeding.reseed` puts in each row's
-    ``default_rng(tie seed)`` state.  Rows draw what
+    ``default_rng(tie seed)`` state.  ``trim`` is None when c divides n;
+    otherwise it holds the block's rows of :func:`_trim_table`: their
+    drops, the raw words those draws used, which a tied row's generator
+    skips, and the kept counts that give r and ``den``.  Rows draw what
     :func:`arrange_by_covariate` draws, in order, but tie-break keys only
     for rows with ties; a tie-free row's order is unique, and one float
     sort of packed keys gives it.  For sorted slice ranks a_(j) the
@@ -342,31 +394,30 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H) -> list[float]:
     """
     p, n = xt.shape
     n_eff = H * c
-    if n_eff == n:
-        drawn, ranks = None, counts.r
+    if trim is None:
+        ranks = counts.r
         den = [counts.dispersion] * p
     else:
-        drawn = []  # each row's generator state after its choice
         keep = np.ones((p, n), dtype=bool)
-        for j, row in enumerate(words.tolist()):
-            keep[j, reseed(gen, row).choice(n, size=n - n_eff, replace=False)] = False
-            drawn.append(gen.bit_generator.state)
-        xt = np.ascontiguousarray(xt)[keep].reshape(p, n_eff)
-        ranks, den = _kept_counts(counts, keep, n_eff)
-    if 0 in den:
-        raise DegenerateResponse("response is constant after trimming")
+        keep[np.arange(p)[:, None], trim.drops] = False
+        xt = xt[keep].reshape(p, n_eff)
+        level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(p, n_eff)
+        ranks = _take_rows(trim.at_most, level)
+        den = trim.den
     order, tied, ordered = _packed_order(xt)
     if tied.size:
         u = np.empty((tied.size, n_eff))
-        for i, j in enumerate(tied):
-            if drawn is None:
-                reseed(gen, words[j].tolist())
-            else:
-                gen.bit_generator.state = drawn[j]
-            u[i] = gen.random(n_eff)
-        order[tied] = _tie_order(xt[tied], order[tied], ordered, u)
+        for i, j in enumerate(tied.tolist()):
+            reseed(gen, words[j].tolist())
+            if trim is not None:
+                gen.bit_generator.advance(int(trim.used[j]))
+            gen.random(out=u[i])
+        if tied.size == p:
+            order = _tie_order(xt, order, ordered, u)
+        else:
+            order[tied] = _tie_order(xt[tied], order[tied], ordered, u)
     # a shared rank vector takes a plain gather, several times faster
-    sliced = ranks[order] if ranks.ndim == 1 else np.take_along_axis(ranks, order, 1)
+    sliced = ranks[order] if ranks.ndim == 1 else _take_rows(ranks, order)
     w = 2 * np.arange(c, dtype=np.int64) - (c - 1)
     num = (np.sort(sliced.reshape(p, H, c), axis=2) @ w).sum(axis=1)
     # exact integers and one final rounding, as in the brute-force reference
@@ -393,7 +444,10 @@ def sliced_estimate(
     if calibration is None:
         calibration = _auto_from_counts(counts)
     words = seed_words([config.tie_seed])
-    (value,) = _omega_block(sample.x[None, :], counts, words, rng_from_seed(0), c, H)
+    trim = _trim_table(counts, words, H * c) if sample.n % c else None
+    (value,) = _omega_block(
+        sample.x[None, :], counts, words, rng_from_seed(0), c, H, trim
+    )
     z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
         omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c

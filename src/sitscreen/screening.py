@@ -13,8 +13,13 @@ to one batched kernel, which copies it as it builds its sort keys.  Column k's
 trimming and tie-break randomness comes from the seed hash(master_seed, k),
 drawn only when the column needs it (trimming, or ties among its values), so
 results are identical for any worker count and any chunking of the columns.
-All p seeds are hashed in one batched call per screen, and each worker
-reseeds one generator for every column that draws.
+All p seeds are hashed in one batched call per screen.  When n is not a
+multiple of c, a worker draws the trims of its columns (numpy's ``choice``
+bit for bit, one vectorised pass in Floyd's regime) and builds their kept
+counts in one table, for up to TABLE_CELLS // max(levels, 16 * trimmed rows)
+columns at a time.
+It reseeds one generator only for columns with ties, whose order comes
+from one in-place sort of packed integer keys per block.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .estimator import (
     VarianceCalibration,
     _auto_from_counts,
     _omega_block,
+    _trim_table,
     p_value_from_z,
     rank_counts,
     z_statistic,
@@ -47,6 +53,14 @@ THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 # Cells per kernel call (8 columns at n = 1024): 64 KB per working array, so
 # each thread's working set stays near 1 MB and peak memory barely moves.
 BLOCK_CELLS = 2**13
+# Cells of the kept-count table a trimmed screen builds at once (columns x
+# levels, 1 MB of int32).  Its draw holds about a dozen uint64 temporaries
+# per column and trimmed row, so it covers at most TABLE_CELLS // 16 of those
+# (1.5 MB).  At n = 1000 and c = 32 a tie-free response takes 256 columns
+# per table, a response of 3 levels 2,048.
+TABLE_CELLS = 2**18
+# Cells per finiteness check of a Dataset (a 64 KB boolean).
+FINITE_CELLS = 2**16
 
 @dataclass(frozen=True)
 class Dataset:
@@ -69,7 +83,12 @@ class Dataset:
             raise ConfigError("response length must match the number of rows")
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ConfigError("need at least one row and one column")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        # a few rows at a time, so the check's boolean stays small
+        rows = max(1, FINITE_CELLS // x.shape[1])
+        if not (
+            np.isfinite(y).all()
+            and all(np.isfinite(x[lo : lo + rows]).all() for lo in range(0, x.shape[0], rows))
+        ):
             raise ConfigError("all entries must be finite")
         if self.names is not None:
             names = tuple(str(v) for v in self.names)
@@ -159,17 +178,25 @@ def screen_all(
     x = data.x
     if not (x[1] != x[0]).any() and np.all(x == x[0:1, :]):
         raise AllColumnsConstant("every covariate column is constant")
-    p = data.p
+    p, n_eff = data.p, H * c
     step = max(1, BLOCK_CELLS // data.n)
+    width = max(counts.sizes.shape[0], 16 * (data.n - n_eff))
+    span = step * max(1, TABLE_CELLS // (step * width))
     omega = np.empty(p, dtype=np.float64)
     words = seed_words(derive_seeds(config.tie_seed, p))
 
     def work(start, stop):
-        gen = rng_from_seed(0)  # reseeded for every column that draws
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            xt = data.x[:, lo:hi].T  # a view: the kernel's key build copies it
-            omega[lo:hi] = _omega_block(xt, counts, words[lo:hi], gen, c, H)
+        gen = rng_from_seed(0)  # reseeded for every tied column
+        for first in range(start, stop, span):
+            last = min(first + span, stop)
+            trim = None
+            if n_eff < data.n:
+                trim = _trim_table(counts, words[first:last], n_eff)
+            for lo in range(first, last, step):
+                hi = min(lo + step, last)
+                part = trim.rows(lo - first, hi - first) if trim else None
+                xt = data.x[:, lo:hi].T  # a view: the kernel's key build copies it
+                omega[lo:hi] = _omega_block(xt, counts, words[lo:hi], gen, c, H, part)
 
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:

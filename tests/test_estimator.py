@@ -231,10 +231,18 @@ LEVEL_MIXES = st.sampled_from([FEW_LEVELS, MANY_LEVELS, FEW_LEVELS | MANY_LEVELS
 
 
 def trimmed_rows(rng, n, rows, dropped):
+    """Each row's dropped indices, and the kept mask they leave."""
+    drops = np.array([rng.choice(n, size=dropped, replace=False) for _ in range(rows)])
     keep = np.ones((rows, n), dtype=bool)
-    for row in keep:
-        row[rng.choice(n, size=dropped, replace=False)] = False
-    return keep
+    keep[np.arange(rows)[:, None], drops] = False
+    return drops, keep
+
+
+def kept_ranks(counts, drops, keep, n_eff):
+    """Each row's kept r, read from its cumulative kept level sizes, and den."""
+    at_most, den = _kept_counts(counts, drops, n_eff)
+    assert at_most.dtype == np.int32
+    return [at_most[j][counts.level[keep[j]]].tolist() for j in range(len(keep))], den
 
 
 class TestRankCounts:
@@ -351,12 +359,12 @@ def test_trimmed_tie_free_dispersion_is_closed_form(n, rows, data):
     counts = rank_counts(y)
     assert counts.tie_free
     dropped = data.draw(st.integers(1, n - 2))
-    keep = trimmed_rows(rng, n, rows, dropped)
+    drops, keep = trimmed_rows(rng, n, rows, dropped)
     n_eff = n - dropped
-    ranks, den = _kept_counts(counts, keep, n_eff)
+    ranks, den = kept_ranks(counts, drops, keep, n_eff)
     assert den == [n_eff * (n_eff**2 - 1) // 6] * rows
     for j in range(rows):
-        assert (ranks[j].tolist(), den[j]) == literal_counts(y[keep[j]])
+        assert (ranks[j], den[j]) == literal_counts(y[keep[j]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -366,10 +374,10 @@ def test_kept_dispersion_from_level_drop_counts(n, rows, data):
     y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dropped = data.draw(st.integers(1, n - 2))
-    keep = trimmed_rows(rng, n, rows, dropped)
-    ranks, den = _kept_counts(rank_counts(y), keep, n - dropped)
+    drops, keep = trimmed_rows(rng, n, rows, dropped)
+    ranks, den = kept_ranks(rank_counts(y), drops, keep, n - dropped)
     for j in range(rows):
-        assert (ranks[j].tolist(), den[j]) == literal_counts(y[keep[j]])
+        assert (ranks[j], den[j]) == literal_counts(y[keep[j]])
 
 
 def test_response_constant_after_trimming_raises():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from sitscreen import (
 )
 from sitscreen.errors import (
     AllColumnsConstant,
+    ConfigError,
     DegenerateResponse,
     EmptyActiveSet,
     InvalidSize,
@@ -35,7 +38,7 @@ from sitscreen.screening import (
     minimum_model_size,
     resolve_threads,
 )
-from sitscreen.seeding import derive_seed
+from sitscreen.seeding import check_trim_draws, derive_seed
 
 
 def make_result(omega_like, n=64, c=2, seed=0):
@@ -350,21 +353,100 @@ def test_block_kernel_matches_single_column_paths(instance):
 
 def test_tie_detection_decides_the_bits():
     # -0.0 and 0.0 compare equal, so this column's order needs its tie-break
-    # keys; the bare argsort order gives different bits.  It sits first in
-    # the second kernel block.
-    n, c, master = 8, 2, 0
+    # keys; for the master picked here the bare argsort order gives
+    # different bits.  It sits first in the second kernel block.
+    n, c = 8, 2
     step = BLOCK_CELLS // n
     tied = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 0.0, -0.0])
     y = np.array([3.0, 1, 4, 1, 5, 9, 2, 6])
+    untied = np.empty(n)
+    untied[np.argsort(tied)] = np.arange(n)
+
+    def oracle(master, column):
+        config = SliceConfig(c=c, tie_seed=derive_seed(master, step))
+        return oracle_estimate(PairedSample(column, y), config)
+
+    master = next((m for m in range(64) if oracle(m, untied) != oracle(m, tied)), None)
+    assert master is not None
     x = np.random.default_rng(1).standard_normal((n, step + 1))
     x[:, step] = tied
     result = screen_all(Dataset(x, y), SliceConfig(c=c, tie_seed=master))
-    column = SliceConfig(c=c, tie_seed=derive_seed(master, step))
-    untied = np.empty(n)
-    untied[np.argsort(tied)] = np.arange(n)
-    expected = oracle_estimate(PairedSample(tied, y), column)
-    assert result.omega[step] == expected
-    assert oracle_estimate(PairedSample(untied, y), column) != expected
+    assert result.omega[step] == oracle(master, tied)
+
+
+def test_trimmed_tied_screen_calls_no_choice(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.binomial(2, 0.3, (101, 40)).astype(float)  # every column tied
+    y = rng.integers(0, 4, 101).astype(float)
+    check_trim_draws()  # the once-per-process check runs Generator.choice
+    calls = []
+
+    class Counting(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            calls.append(args)
+            return super().choice(*args, **kwargs)
+
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed=None: Counting(np.random.PCG64(seed))
+    )
+    config = SliceConfig(c=4, tie_seed=3)
+    result = screen_all(Dataset(x, y), config, threads=2)
+    assert calls == []
+    monkeypatch.undo()
+    for k in (0, 39):
+        column = SliceConfig(c=4, tie_seed=derive_seed(3, k))
+        assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
+
+
+def test_trim_tables_do_not_change_the_bits(monkeypatch):
+    # a worker builds its kept-count tables TABLE_CELLS cells at a time;
+    # one table per block must give the bits of one table per span
+    rng = np.random.default_rng(14)
+    n, c = 101, 4  # one row trimmed per column
+    step = BLOCK_CELLS // n
+    x = np.column_stack([
+        rng.standard_normal(n) if k % 2 else rng.integers(0, 3, n).astype(float)
+        for k in range(3 * step + 5)
+    ])
+    y = rng.standard_normal(n)
+    config = SliceConfig(c=c, tie_seed=21)
+    whole = screen_all(Dataset(x, y), config, threads=1)
+    monkeypatch.setattr(screening, "TABLE_CELLS", 1)
+    for threads in (1, 2):
+        chunked = screen_all(Dataset(x, y), config, threads=threads)
+        assert chunked.omega.tobytes() == whole.omega.tobytes()
+
+
+def test_a_wide_trimmed_screen_of_a_binary_response_draws_in_small_tables():
+    # two levels give a tiny kept-count table, but 31 trimmed rows per
+    # column make the draw's temporaries large: the draw must bound the span
+    rng = np.random.default_rng(15)
+    n, p = 95, 8192  # n mod 32 = 31
+    data = Dataset(rng.standard_normal((n, p)), rng.integers(0, 2, n).astype(float))
+    config = SliceConfig(c=32, tie_seed=4)
+    screen_all(Dataset(data.x[:, :64], data.y), config, threads=1)  # first-call set-up
+    tracemalloc.start()
+    try:
+        screen_all(data, config, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.x.nbytes / 2
+
+
+@pytest.mark.parametrize("at", ["first", "chunk-end", "chunk-start", "last", "response"])
+def test_dataset_refuses_a_non_finite_entry_anywhere(at):
+    # the covariates are checked a few rows at a time
+    p = 4096
+    rows = screening.FINITE_CELLS // p
+    x, y = np.zeros((3 * rows + 1, p)), np.zeros(3 * rows + 1)
+    row = {"first": 0, "chunk-end": rows - 1, "chunk-start": rows, "last": 3 * rows}
+    if at == "response":
+        y[-1] = np.inf
+    else:
+        x[row[at], p - 1] = np.nan
+    with pytest.raises(ConfigError, match="finite"):
+        Dataset(x, y)
 
 
 def _packed_column(rng, kind, n, c):
