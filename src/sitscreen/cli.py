@@ -25,11 +25,7 @@ import time
 
 from . import __version__
 from .errors import ConfigError, InputError, SitScreenError
-from .estimator import (
-    SliceConfig,
-    VarianceCalibration,
-    plugin_calibration,
-)
+from .estimator import SliceConfig, VarianceCalibration
 from .fdr import RULE_BH, RULE_BY, RULE_HARD_LEVEL, RULE_HARD_SIZE, ThresholdRule
 from .io import ingest_csv
 from .reports import (
@@ -149,22 +145,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _calibration_for(mode: str, y):
-    """The calibration ``--sigma`` asks for; None (auto) leaves it to
-    ``screen_all``, which calibrates from the response's one sort."""
-    if mode == "fixed":
-        return VarianceCalibration.fixed()
-    if mode == "plugin":
-        return plugin_calibration(y)
-    return None
-
-
 def _screen_once(args, data: Dataset, seed: int):
     """Shared screen pipeline; returns (result, selection, config)."""
     c = auto_slice_size(data.n) if args.c == "auto" else args.c
     config = SliceConfig(c=c, tie_seed=seed)
     config.slices(data.n)  # the row floor, before calibration can object
-    calibration = _calibration_for(args.sigma, data.y)
+    calibration = VarianceCalibration.from_counts(data.counts, args.sigma)
     result = screen_all(data, config, calibration=calibration)
     rule = ThresholdRule(
         kind=args.rule,

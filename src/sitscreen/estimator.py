@@ -183,6 +183,40 @@ class VarianceCalibration:
     def fixed(cls) -> "VarianceCalibration":
         return cls(mode="fixed", sigma_sq=FIXED_SIGMA_SQ)
 
+    @classmethod
+    def from_counts(cls, counts: RankCounts, mode: str = "auto") -> "VarianceCalibration":
+        """The calibration ``mode`` (``--sigma``) asks for, from the response's
+        level table: ``fixed``, ``plugin``, or ``auto``, which is fixed for a
+        tie-free response and the plug-in otherwise.  A constant response
+        has none.
+
+        The plug-in's theta2 is the mean of G(y_i) (1 - G(y_i)) with G the
+        empirical right-tail function, and theta1 averages
+        (F(min(y_j, y_l)) - F(y_j) F(y_l))^2 over ordered pairs j != l with F
+        the empirical CDF.
+        """
+        if mode not in ("auto", "fixed", "plugin"):
+            raise InvalidCalibration(f"unknown calibration mode {mode!r}")
+        if counts.sizes.shape[0] == 1:
+            raise DegenerateResponse("response is constant")
+        if mode == "fixed" or (mode == "auto" and counts.tie_free):
+            return cls.fixed()
+        n = counts.level.shape[0]
+        theta2 = counts.dispersion / n**3
+        # With u = F(y) sorted ascending (each level's r repeated by its size),
+        # min(u_j, u_l) = u_j for j < l, so the pair sum collapses to
+        # sum_l (1-u_l)^2 * prefix_sum(u^2).
+        u = np.repeat(np.cumsum(counts.sizes), counts.sizes) / n
+        head = np.cumsum(u**2)[:-1]
+        tail = (1.0 - u[1:]) ** 2
+        theta1 = 2.0 * float(tail @ head) / (n * (n - 1))
+        sigma_sq = 2.0 * theta1 / theta2**2
+        if sigma_sq <= 0.0:
+            raise DegenerateResponse(
+                "response carries too little variation to calibrate sigma"
+            )
+        return cls(mode="plugin", sigma_sq=sigma_sq, theta1=theta1, theta2=theta2)
+
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma_sq)
@@ -433,16 +467,16 @@ def sliced_estimate(
 ) -> DependenceEstimate:
     """Estimate the dependence of Y on X with slice size ``config.c``.
 
-    The calibration defaults to :func:`auto_calibration` of the full
-    (untrimmed) response.  Deterministic given (sample, config): the same
-    tie seed always yields the same bits.
+    The calibration defaults to ``auto`` (:meth:`VarianceCalibration.from_counts`)
+    of the full (untrimmed) response.  Deterministic given (sample, config):
+    the same tie seed always yields the same bits.
     """
     c, H = config.c, config.slices(sample.n)
     counts = rank_counts(sample.y)
     if counts.sizes.shape[0] == 1:
         raise DegenerateResponse("response is constant")
     if calibration is None:
-        calibration = _auto_from_counts(counts)
+        calibration = VarianceCalibration.from_counts(counts)
     words = seed_words([config.tie_seed])
     trim = _trim_table(counts, words, H * c) if sample.n % c else None
     (value,) = _omega_block(
@@ -540,49 +574,14 @@ def p_value_from_z(z: float | np.ndarray) -> np.float64 | np.ndarray:
 
 
 def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
-    """Estimate the variance calibration from the response ranks.
-
-    theta2_hat = mean of G(y_i) (1 - G(y_i)) with G the empirical
-    right-tail function, and theta1_hat averages
-    (F(min(y_j, y_l)) - F(y_j) F(y_l))^2 over ordered pairs j != l with F
-    the empirical CDF.  Both reduce to sorted prefix sums, O(n log n) total.
-    """
+    """The plug-in calibration of a response (see
+    :meth:`VarianceCalibration.from_counts`)."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] < 2:
         raise SampleTooSmall("need at least 2 observations")
-    return _plugin_from_counts(rank_counts(y))
-
-
-def _plugin_from_counts(counts: RankCounts) -> VarianceCalibration:
-    """:func:`plugin_calibration` of the response with these rank counts."""
-    n = counts.level.shape[0]
-    if counts.sizes.shape[0] == 1:
-        raise DegenerateResponse("response is constant")
-    theta2 = counts.dispersion / n**3
-    # With u = F(y) sorted ascending (each level's r repeated by its size),
-    # min(u_j, u_l) = u_j for j < l, so the pair sum collapses to
-    # sum_l (1-u_l)^2 * prefix_sum(u^2).
-    u = np.repeat(np.cumsum(counts.sizes), counts.sizes) / n
-    head = np.cumsum(u**2)[:-1]
-    tail = (1.0 - u[1:]) ** 2
-    theta1 = 2.0 * float(tail @ head) / (n * (n - 1))
-    sigma_sq = 2.0 * theta1 / theta2**2
-    if sigma_sq <= 0.0:
-        raise DegenerateResponse(
-            "response carries too little variation to calibrate sigma"
-        )
-    return VarianceCalibration(
-        mode="plugin", sigma_sq=sigma_sq, theta1=theta1, theta2=theta2
-    )
+    return VarianceCalibration.from_counts(rank_counts(y), "plugin")
 
 
 def auto_calibration(y: np.ndarray) -> VarianceCalibration:
     """Fixed 4/5 calibration for tie-free responses, plug-in otherwise."""
-    return _auto_from_counts(rank_counts(y))
-
-
-def _auto_from_counts(counts: RankCounts) -> VarianceCalibration:
-    """:func:`auto_calibration` of the response with these rank counts."""
-    if counts.tie_free:
-        return VarianceCalibration.fixed()
-    return _plugin_from_counts(counts)
+    return VarianceCalibration.from_counts(rank_counts(y))

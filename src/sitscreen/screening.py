@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,9 +38,9 @@ from .errors import (
     EmptyActiveSet,
 )
 from .estimator import (
+    RankCounts,
     SliceConfig,
     VarianceCalibration,
-    _auto_from_counts,
     _omega_block,
     _trim_table,
     p_value_from_z,
@@ -108,6 +109,12 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
+    @cached_property
+    def counts(self) -> RankCounts:
+        """The response's level table, taken on first use: its one sort,
+        shared by the calibration and every screen of this dataset."""
+        return rank_counts(self.y)
+
 
 @dataclass(frozen=True)
 class ScreeningResult:
@@ -164,15 +171,18 @@ def screen_all(
     ``config.tie_seed`` acts as the master seed; column k is evaluated with
     the derived seed hash(master, k), exactly as if ``sliced_estimate`` were
     called on that column alone.  Results do not depend on ``threads``.
-    Too few rows for two slices raise SampleTooSmall before any other check.
+    The calibration defaults to ``auto``
+    (:meth:`~sitscreen.estimator.VarianceCalibration.from_counts`) of the
+    dataset's level table.  Too few rows for two slices raise SampleTooSmall
+    before any other check.
     """
     c, H = config.c, config.slices(data.n)
-    counts = rank_counts(data.y)  # the screen's one sort of the response
+    counts = data.counts
     if counts.sizes.shape[0] == 1:
         raise DegenerateResponse("response is constant")
     # a calibration that objects does so before the column check, under every --sigma
     if calibration is None:
-        calibration = _auto_from_counts(counts)
+        calibration = VarianceCalibration.from_counts(counts)
     # Rows 0 and 1 differ in nearly every real design; only a tie there needs
     # the full n x p comparison.  `!=` keeps -0.0 equal to 0.0, as `==` does.
     x = data.x

@@ -230,6 +230,7 @@ class TestScreen:
         assert capsys.readouterr().err == ""
 
     def test_auto_sigma_sorts_the_response_once(self, tmp_path, monkeypatch):
+        # every --sigma reads the dataset's one level table
         calls = []
 
         def counted(y, real=estimator.rank_counts):
@@ -242,10 +243,12 @@ class TestScreen:
         x = rng.standard_normal((64, 3))
         tied = write_csv(tmp_path / "tied.csv", x, rng.integers(0, 3, 64))
         out = tmp_path / "r.json"
-        assert run_cli(["screen", "--input", tied, "--response", "y",
-                        "--output", str(out)]) == 0
-        assert load(out)["calibration"]["mode"] == "plugin"
-        assert calls == [64]
+        for sigma, mode in [("auto", "plugin"), ("fixed", "fixed"), ("plugin", "plugin")]:
+            calls.clear()
+            assert run_cli(["screen", "--input", tied, "--response", "y",
+                            "--sigma", sigma, "--output", str(out)]) == 0
+            assert load(out)["calibration"]["mode"] == mode
+            assert calls == [64], sigma
 
     def test_deterministic_across_thread_counts(self, tmp_path, monkeypatch):
         csv_path = signal_csv(tmp_path, seed=4, n=128, p=23)  # prime p, trim path
