@@ -573,15 +573,25 @@ def p_value_from_z(z: float | np.ndarray) -> np.float64 | np.ndarray:
     return _ndtr(-z)
 
 
+def _response_counts(y) -> RankCounts:
+    """The level table of a response given on its own, refused as
+    :class:`PairedSample` refuses one: not 1-D or not finite, or under 2 values."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise ConfigError("the response must be one-dimensional")
+    if not np.isfinite(y).all():
+        raise ConfigError("all values must be finite")
+    if y.shape[0] < 2:
+        raise SampleTooSmall("need at least 2 observations")
+    return rank_counts(y)
+
+
 def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
     """The plug-in calibration of a response (see
     :meth:`VarianceCalibration.from_counts`)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] < 2:
-        raise SampleTooSmall("need at least 2 observations")
-    return VarianceCalibration.from_counts(rank_counts(y), "plugin")
+    return VarianceCalibration.from_counts(_response_counts(y), "plugin")
 
 
 def auto_calibration(y: np.ndarray) -> VarianceCalibration:
     """Fixed 4/5 calibration for tie-free responses, plug-in otherwise."""
-    return VarianceCalibration.from_counts(rank_counts(y))
+    return VarianceCalibration.from_counts(_response_counts(y))

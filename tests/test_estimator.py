@@ -199,6 +199,22 @@ class TestPluginCalibration:
         with pytest.raises(DegenerateResponse):
             plugin_calibration(np.array([1.0, 2.0, 2.0, 2.0]))
 
+    @pytest.mark.parametrize("calibrate", [auto_calibration, plugin_calibration])
+    @pytest.mark.parametrize(
+        "y, error",
+        [
+            ([], SampleTooSmall),
+            ([5.0], SampleTooSmall),
+            ([1.0, np.nan, 2.0], ConfigError),
+            ([1.0, np.inf, 2.0, 2.0], ConfigError),
+            ([[1.0, 2.0], [3.0, 4.0]], ConfigError),
+        ],
+        ids=["empty", "single", "nan", "inf", "2x2"],
+    )
+    def test_malformed_response_is_refused(self, calibrate, y, error):
+        with pytest.raises(error):
+            calibrate(y)
+
     def test_auto_switches_on_ties(self):
         assert auto_calibration(np.array([1.0, 2.0, 3.0, 4.0])).mode == "fixed"
         assert auto_calibration(np.array([1.0, 2.0, 2.0, 4.0])).mode == "plugin"
