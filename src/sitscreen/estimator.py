@@ -40,8 +40,11 @@ Under independence of X and Y the scaled statistic
     z = sqrt(n (c - 1)) * value / sigma
 
 is asymptotically standard normal; for a continuous response sigma^2 = 4/5
-exactly, and for tied responses a plug-in calibration estimates sigma^2 from
-the response ranks.  Its upper-tail p-value comes from the normal tail
+exactly, and for tied responses the tie-aware plug-in of
+:meth:`VarianceCalibration.from_counts` estimates sigma^2 from the response's
+level table: 2 for any binary response, whatever its share of ones.  Asked
+for a tie-free response (``--sigma plugin``), the plug-in gives a value near
+4/5 but not equal to it.  Its upper-tail p-value comes from the normal tail
 (Cephes ``ndtr`` port) below, which matches scipy.special.ndtr bit for bit.
 """
 
@@ -190,10 +193,14 @@ class VarianceCalibration:
         tie-free response and the plug-in otherwise.  A constant response
         has none.
 
-        The plug-in's theta2 is the mean of G(y_i) (1 - G(y_i)) with G the
-        empirical right-tail function, and theta1 averages
-        (F(min(y_j, y_l)) - F(y_j) F(y_l))^2 over ordered pairs j != l with F
-        the empirical CDF.
+        The plug-in is sigma^2 = 2 theta1 / theta2^2 with theta2 the mean of
+        G(y_i) (1 - G(y_i)), G the empirical right-tail function, and the
+        tie-aware theta1 = E phi^2 - 2 E g^2 + (E g)^2 of Chatterjee (2021,
+        Theorem 2.2), phi(y, y') = min(F(y), F(y')), g(y) = E phi(y, Y) and
+        F the empirical CDF.  With r_i = n F(y_i), S_i = sum_j min(r_i, r_j)
+        and A = sum_ij min(r_i, r_j)^2, theta1 is the exact integer
+        n^2 A - 2 n sum S_i^2 + (sum S_i)^2 over n^6, divided once.  It is
+        near 1/90 without ties, and sigma^2 = 2 for any binary response.
         """
         if mode not in ("auto", "fixed", "plugin"):
             raise InvalidCalibration(f"unknown calibration mode {mode!r}")
@@ -201,21 +208,16 @@ class VarianceCalibration:
             raise DegenerateResponse("response is constant")
         if mode == "fixed" or (mode == "auto" and counts.tie_free):
             return cls.fixed()
-        n = counts.level.shape[0]
-        theta2 = counts.dispersion / n**3
-        # With u = F(y) sorted ascending (each level's r repeated by its size),
-        # min(u_j, u_l) = u_j for j < l, so the pair sum collapses to
-        # sum_l (1-u_l)^2 * prefix_sum(u^2).
-        u = np.repeat(np.cumsum(counts.sizes), counts.sizes) / n
-        head = np.cumsum(u**2)[:-1]
-        tail = (1.0 - u[1:]) ** 2
-        theta1 = 2.0 * float(tail @ head) / (n * (n - 1))
-        sigma_sq = 2.0 * theta1 / theta2**2
-        if sigma_sq <= 0.0:
-            raise DegenerateResponse(
-                "response carries too little variation to calibrate sigma"
-            )
-        return cls(mode="plugin", sigma_sq=sigma_sq, theta1=theta1, theta2=theta2)
+        # per level l of size m_l and right count r_l, in O(levels):
+        # S_l = sum_{k<=l} m_k r_k + r_l (n - r_l), and m_l (m_l + 2 (n - r_l))
+        # of A's pairs have their minimum at level l, each adding r_l^2
+        n, m = counts.level.shape[0], counts.sizes
+        r = np.cumsum(m)
+        s = np.cumsum(m * r) + r * (n - r)
+        A = _exact_sum(m, r * r, m + 2 * (n - r))
+        num = n * n * A - 2 * n * _exact_sum(m, s, s) + _exact_sum(m, s, 1) ** 2
+        theta1, theta2 = num / n**6, counts.dispersion / n**3
+        return cls("plugin", 2.0 * theta1 / theta2**2, theta1, theta2)
 
     @property
     def sigma(self) -> float:
@@ -283,6 +285,21 @@ def _dispersion_sums(m: np.ndarray, n: int) -> list[int]:
     high = np.sum(m * (terms >> 32), axis=1)
     low = np.sum(m * (terms & 0xFFFFFFFF), axis=1)
     return [(int(h) << 32) + int(l) for h, l in zip(high, low)]
+
+
+def _exact_sum(m, a, b) -> int:
+    """Exact sum of m_l a_l b_l as a Python int, for level sizes m summing to
+    n < 2^31 and non-negative a, b below 2^63.  With 32-bit halves a = a1 2^32
+    + a0 and b likewise, a b = a1 b1 2^64 + (a1 b0 + a0 b1) 2^32 + a0 b0, each
+    part below 2^64; each part's m-weighted sum is taken in uint64 by halves,
+    and the halves are combined as Python ints."""
+    m, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in (m, a, b)))
+    a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
+    total = 0
+    for shift, part in ((64, a1 * b1), (32, a1 * b0 + a0 * b1), (0, a0 * b0)):
+        total += int(m @ (part >> 32)) << (shift + 32)
+        total += int(m @ (part & 0xFFFFFFFF)) << shift
+    return total
 
 
 def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:

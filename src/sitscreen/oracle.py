@@ -55,6 +55,22 @@ def oracle_estimate(sample: PairedSample, config: SliceConfig) -> float:
     return (den_total - num_total) / den_total
 
 
+def oracle_theta1(y) -> float:
+    """Tie-aware plug-in theta1 of a response by its double sums, O(n^2).
+
+    Counts r_i = #{y_j <= y_i} by comparison loops, sums
+    S_i = sum_j min(r_i, r_j) and A = sum_ij min(r_i, r_j)^2 pair by pair,
+    and divides the exact integer n^2 A - 2 n sum S_i^2 + (sum S_i)^2 by n^6
+    once, as the fast path does.
+    """
+    values = [float(v) for v in y]
+    n = len(values)
+    r = [sum(1 for t in values if t <= v) for v in values]
+    S = [sum(min(a, b) for b in r) for a in r]
+    A = sum(min(a, b) ** 2 for a in r for b in r)
+    return (n * n * A - 2 * n * sum(s * s for s in S) + sum(S) ** 2) / n**6
+
+
 def oracle_design(spec) -> np.ndarray:
     """The AR(1) design from a separate draw buffer, one column at a time.
 

@@ -337,3 +337,35 @@ def test_criterion_11_deterministic_reports(tmp_path, monkeypatch):
         payloads[0] == payloads[1] == payloads[2],
         f"sizes {len(payloads[0])}/{len(payloads[1])}/{len(payloads[2])}",
     )
+
+
+def test_criterion_12_tied_response_null_calibration():
+    # Each all-null screen draws a fresh response; z pools over the screens.
+    # The share of screens where by selects anything is printed, not
+    # asserted: the normal tail is too thin at BY's cutoffs (z near 4) for
+    # continuous responses too, so that share measures the tail, not sigma.
+    started = time.perf_counter()
+    rng = np.random.default_rng(list(b"criterion-12"))
+    n, c, p, screens = 1024, 32, 500, 20
+    responses = {f"binary {pi}": ([0, 1], [1 - pi, pi]) for pi in (0.02, 0.1, 0.5, 0.9)}
+    responses["levels .7/.2/.1"] = ([0, 1, 2], [0.7, 0.2, 0.1])
+    responses["levels .1/.2/.7"] = ([0, 1, 2], [0.1, 0.2, 0.7])
+    details, passed = [], True
+    for label, (values, shares) in responses.items():
+        z, selected, selecting = [], 0, 0
+        for s in range(screens):
+            y = rng.choice(values, size=n, p=shares).astype(np.float64)
+            x = rng.standard_normal((n, p))
+            result = screen_all(Dataset(x, y), SliceConfig(c=c, tie_seed=s), threads=1)
+            z.append(result.z)
+            k = by_threshold(result, FdrConfig(q=0.1)).num_selected
+            selected, selecting = selected + k, selecting + (k > 0)
+        var = float(np.var(np.concatenate(z)))
+        passed = passed and abs(var - 1.0) <= 0.15 and selected <= 0.01 * p * screens
+        details.append(f"{label}: var={var:.3f} by {selected} cols, {selecting} screens")
+    elapsed = time.perf_counter() - started
+    _criterion(
+        12, "tied responses: null var(z) within 0.15 of 1; by selects <= 1% of "
+        f"null columns ({screens} screens of {p})",
+        passed, "; ".join(details) + f"; {elapsed:.1f}s",
+    )

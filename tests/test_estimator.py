@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -18,6 +18,7 @@ from sitscreen.errors import (
 )
 from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
+    _exact_sum,
     _kept_counts,
     _ndtr,
     _packed_order,
@@ -29,6 +30,7 @@ from sitscreen.estimator import (
     rank_counts,
     z_statistic,
 )
+from sitscreen.oracle import oracle_theta1
 
 
 def estimate_value(x, y, c, seed=0):
@@ -195,9 +197,21 @@ class TestPluginCalibration:
             plugin_calibration(np.array([1.0]))
 
     def test_near_constant_raises(self):
-        # one value below a tied maximum: theta1 collapses to zero
+        # one value below a tied maximum is a binary response: sigma^2 = 2;
+        # only a constant response has no calibration
+        assert plugin_calibration(np.array([1.0, 2.0, 2.0, 2.0])).sigma_sq == 2.0
         with pytest.raises(DegenerateResponse):
-            plugin_calibration(np.array([1.0, 2.0, 2.0, 2.0]))
+            plugin_calibration(np.array([2.0, 2.0, 2.0, 2.0]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 60), st.data())
+    def test_theta1_is_the_literal_double_sum(self, n, data):
+        values = data.draw(st.sampled_from([BINARY]) | LEVEL_MIXES)
+        y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        assume(np.unique(y).shape[0] > 1)
+        cal = plugin_calibration(y)
+        assert cal.theta1 == oracle_theta1(y)
+        assert cal.sigma_sq == 2.0 * cal.theta1 / cal.theta2**2
 
     @pytest.mark.parametrize("calibrate", [auto_calibration, plugin_calibration])
     @pytest.mark.parametrize(
@@ -232,6 +246,16 @@ def test_exact_dispersion_sum_beyond_int64():
     assert plugin_calibration(x).theta2 == (n * (n * n - 1) // 6) / n**3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**24), st.integers(0, 2**63 - 1),
+                          st.integers(0, 2**63 - 1)), min_size=1, max_size=100))
+def test_exact_sum_is_the_python_int_sum(rows):
+    # sizes summing to at most 100 * 2^24 < 2^31, products up to 2^126
+    m, a, b = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    assert _exact_sum(m, a, b) == sum(u * v * w for u, v, w in rows)
+    assert _exact_sum(m, a, 1) == sum(u * v for u, v, _ in rows)
+
+
 def literal_counts(y):
     """r_i = #{y_j <= y_i} and the sum of R_i (n - R_i), R_i = #{y_j >= y_i},
     by comparing every pair."""
@@ -244,6 +268,7 @@ def literal_counts(y):
 FEW_LEVELS = st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.0])
 MANY_LEVELS = st.integers(-10**6, 10**6).map(float)
 LEVEL_MIXES = st.sampled_from([FEW_LEVELS, MANY_LEVELS, FEW_LEVELS | MANY_LEVELS])
+BINARY = st.sampled_from([0.0, 1.0])
 
 
 def trimmed_rows(rng, n, rows, dropped):
