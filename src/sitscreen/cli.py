@@ -25,7 +25,7 @@ import time
 
 from . import __version__
 from .errors import ConfigError, InputError, SitScreenError
-from .estimator import SliceConfig, VarianceCalibration
+from .estimator import SIGMA_MODES, SliceConfig, VarianceCalibration
 from .fdr import RULE_BH, RULE_BY, RULE_HARD_LEVEL, RULE_HARD_SIZE, ThresholdRule
 from .io import ingest_csv
 from .reports import (
@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
                             help="center and scale covariates before screening")
     csv_common.add_argument("--c", action=_SliceSize, default="auto",
                             help="observations per slice, or 'auto' (default)")
-    csv_common.add_argument("--sigma", choices=("auto", "fixed", "plugin"),
+    csv_common.add_argument("--sigma", choices=SIGMA_MODES,
                             default="auto", help="variance calibration mode")
     csv_common.add_argument("--rule", default=RULE_BY,
                             choices=(RULE_BY, RULE_BH, RULE_HARD_SIZE, RULE_HARD_LEVEL),

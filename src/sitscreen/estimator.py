@@ -67,6 +67,8 @@ from .seeding import check_trim_draws, reseed, rng_from_seed, seed_words, trim_d
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
+# The modes VarianceCalibration.from_counts (and --sigma) takes.
+SIGMA_MODES = ("auto", "fixed", "plugin")
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ class VarianceCalibration:
         n^2 A - 2 n sum S_i^2 + (sum S_i)^2 over n^6, divided once.  It is
         near 1/90 without ties, and sigma^2 = 2 for any binary response.
         """
-        if mode not in ("auto", "fixed", "plugin"):
+        if mode not in SIGMA_MODES:
             raise InvalidCalibration(f"unknown calibration mode {mode!r}")
         if counts.sizes.shape[0] == 1:
             raise DegenerateResponse("response is constant")
@@ -217,7 +219,9 @@ class VarianceCalibration:
         A = _exact_sum(m, r * r, m + 2 * (n - r))
         num = n * n * A - 2 * n * _exact_sum(m, s, s) + _exact_sum(m, s, 1) ** 2
         theta1, theta2 = num / n**6, counts.dispersion / n**3
-        return cls("plugin", 2.0 * theta1 / theta2**2, theta1, theta2)
+        return cls(
+            mode="plugin", sigma_sq=2.0 * theta1 / theta2**2, theta1=theta1, theta2=theta2
+        )
 
     @property
     def sigma(self) -> float:

@@ -68,7 +68,8 @@ class Dataset:
     """An n x p covariate matrix with a paired response vector.
 
     ``names`` is optional; when present it must list one unique label per
-    covariate column.  All entries must be finite.
+    covariate column.  All entries must be finite.  ``y`` is a read-only
+    copy of the response given.
     """
 
     x: np.ndarray
@@ -77,7 +78,9 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        # a read-only copy, so the cached level table cannot go stale
+        y = np.array(self.y, dtype=np.float64)
+        y.setflags(write=False)
         if x.ndim != 2:
             raise ConfigError("covariates must form a 2-D matrix")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:

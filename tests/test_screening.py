@@ -503,6 +503,17 @@ def test_packed_order_on_adversarial_columns(k, plus_one, c, master, tied_y):
         assert result.omega[j] == oracle_estimate(PairedSample(x[:, j], y), column)
 
 
+def test_level_table_follows_the_datasets_own_response():
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal((40, 3)), rng.integers(0, 3, 40).astype(float)
+    data = Dataset(x, y)
+    first = screen_all(data, SliceConfig(c=4))
+    y[:] = rng.standard_normal(40)  # the caller's array, not the dataset's
+    assert screen_all(data, SliceConfig(c=4)).z.tobytes() == first.z.tobytes()
+    with pytest.raises(ValueError):
+        data.y[0] = 1.0
+
+
 def test_response_is_sorted_once_per_screen(monkeypatch):
     calls = []
 
