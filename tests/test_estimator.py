@@ -206,7 +206,7 @@ class TestPluginCalibration:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 60), st.data())
     def test_theta1_is_the_literal_double_sum(self, n, data):
-        values = data.draw(st.sampled_from([BINARY]) | LEVEL_MIXES)
+        values = data.draw(st.just(BINARY) | LEVEL_MIXES)
         y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         assume(np.unique(y).shape[0] > 1)
         cal = plugin_calibration(y)
