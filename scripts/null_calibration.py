@@ -5,7 +5,7 @@ Draws one response and ``--reps`` independent standard-normal covariates,
 screens them all in one ``screen_all`` call under the default (``auto``)
 calibration, and compares the z scores with the standard normal.  Also
 prints var(z) * sigma^2, the empirical variance of sqrt(n (c - 1)) * omega,
-and the share of these null columns that ``by`` selects at ``--q``.
+and the share of these null columns that ``by`` selects at q = 0.1.
 
 ``--response`` picks the response: ``gaussian``, ``binary:PI`` (1 with
 probability PI, else 0), or ``levels:A/B/C`` (0, 1, 2, ... with shares
@@ -47,7 +47,6 @@ def main():
                         help="null covariates, screened together")
     parser.add_argument("--response", default="gaussian",
                         help="gaussian, binary:PI or levels:A/B/... (default: gaussian)")
-    parser.add_argument("--q", type=float, default=0.1, help="by's FDR level")
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args()
 
@@ -61,7 +60,7 @@ def main():
         result = screen_all(Dataset(x, y), SliceConfig(c=c, tie_seed=args.seed))
         z, sigma_sq = result.z, result.calibration.sigma_sq
         ks = kstest(z, "norm").statistic
-        selected = by_threshold(result, FdrConfig(q=args.q)).num_selected / args.reps
+        selected = by_threshold(result, FdrConfig(q=0.1)).num_selected / args.reps
         print(f"{c:>5} {sigma_sq:>8.4f} {z.mean():>9.4f} {z.var():>8.4f} "
               f"{z.var() * sigma_sq:>8.4f} {ks:>7.4f} {selected:>7.4f}")
 

@@ -296,11 +296,17 @@ def _exact_sum(m, a, b) -> int:
     n < 2^31 and non-negative a, b below 2^63.  With 32-bit halves a = a1 2^32
     + a0 and b likewise, a b = a1 b1 2^64 + (a1 b0 + a0 b1) 2^32 + a0 b0, each
     part below 2^64; each part's m-weighted sum is taken in uint64 by halves,
-    and the halves are combined as Python ints."""
+    and the halves are combined as Python ints.  When every a b is below
+    2^64 (each of the plug-in's sums for n < 2^16) a b is the one part.  At
+    millions of levels the passes run out of cache (ROADMAP item 8)."""
     m, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in (m, a, b)))
-    a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
+    if int(a.max()) * int(b.max()) < 2**64:
+        parts = ((0, a * b),)
+    else:
+        a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
+        parts = ((64, a1 * b1), (32, a1 * b0 + a0 * b1), (0, a0 * b0))
     total = 0
-    for shift, part in ((64, a1 * b1), (32, a1 * b0 + a0 * b1), (0, a0 * b0)):
+    for shift, part in parts:
         total += int(m @ (part >> 32)) << (shift + 32)
         total += int(m @ (part & 0xFFFFFFFF)) << shift
     return total

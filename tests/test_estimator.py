@@ -254,6 +254,8 @@ def test_exact_sum_is_the_python_int_sum(rows):
     m, a, b = (np.array(col, dtype=np.int64) for col in zip(*rows))
     assert _exact_sum(m, a, b) == sum(u * v * w for u, v, w in rows)
     assert _exact_sum(m, a, 1) == sum(u * v for u, v, _ in rows)
+    # every product below 2^64: the one-part path
+    assert _exact_sum(m, a >> 32, b >> 32) == sum(u * (v >> 32) * (w >> 32) for u, v, w in rows)
 
 
 def literal_counts(y):
