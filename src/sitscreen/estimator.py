@@ -136,10 +136,15 @@ class RankCounts:
 
     The rank counts follow from it: r_i = #{y_j <= y_i} is the cumulative
     size at y_i's level, and R_i = #{y_j >= y_i} is n less the sizes below.
+    A constant response, one level, has no ranks to screen by and is refused.
     """
 
     level: np.ndarray
     sizes: np.ndarray
+
+    def __post_init__(self):
+        if self.sizes.shape[0] == 1:
+            raise DegenerateResponse("response is constant")
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -192,8 +197,7 @@ class VarianceCalibration:
     def from_counts(cls, counts: RankCounts, mode: str = "auto") -> "VarianceCalibration":
         """The calibration ``mode`` (``--sigma``) asks for, from the response's
         level table: ``fixed``, ``plugin``, or ``auto``, which is fixed for a
-        tie-free response and the plug-in otherwise.  A constant response
-        has none.
+        tie-free response and the plug-in otherwise.
 
         The plug-in is sigma^2 = 2 theta1 / theta2^2 with theta2 the mean of
         G(y_i) (1 - G(y_i)), G the empirical right-tail function, and the
@@ -206,8 +210,6 @@ class VarianceCalibration:
         """
         if mode not in SIGMA_MODES:
             raise InvalidCalibration(f"unknown calibration mode {mode!r}")
-        if counts.sizes.shape[0] == 1:
-            raise DegenerateResponse("response is constant")
         if mode == "fixed" or (mode == "auto" and counts.tie_free):
             return cls.fixed()
         # per level l of size m_l and right count r_l, in O(levels):
@@ -500,8 +502,6 @@ def sliced_estimate(
     """
     c, H = config.c, config.slices(sample.n)
     counts = rank_counts(sample.y)
-    if counts.sizes.shape[0] == 1:
-        raise DegenerateResponse("response is constant")
     if calibration is None:
         calibration = VarianceCalibration.from_counts(counts)
     words = seed_words([config.tie_seed])

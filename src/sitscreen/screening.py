@@ -31,12 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AllColumnsConstant,
-    ConfigError,
-    DegenerateResponse,
-    EmptyActiveSet,
-)
+from .errors import AllColumnsConstant, ConfigError, EmptyActiveSet
 from .estimator import (
     RankCounts,
     SliceConfig,
@@ -181,8 +176,6 @@ def screen_all(
     """
     c, H = config.c, config.slices(data.n)
     counts = data.counts
-    if counts.sizes.shape[0] == 1:
-        raise DegenerateResponse("response is constant")
     # a calibration that objects does so before the column check, under every --sigma
     if calibration is None:
         calibration = VarianceCalibration.from_counts(counts)
@@ -274,4 +267,7 @@ def augment_with_noise(
                 taken.add(candidate)
             i += 1
         names = tuple(kept_names + aux_names)
-    return Dataset(x=x, y=data.y, names=names)
+    augmented = Dataset(x=x, y=data.y, names=names)
+    # the same response: share its level table, so it is sorted once
+    object.__setattr__(augmented, "counts", data.counts)
+    return augmented

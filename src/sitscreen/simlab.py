@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleDimensions, InvalidRho
+from .errors import ConfigError, IncompatibleDimensions, InvalidRho, InvalidSize
 # ThresholdRule is re-exported: simulation callers build their rules from here.
 from .fdr import RULE_HARD_SIZE, ThresholdRule, evaluate_selection  # noqa: F401
 from .screening import Dataset, minimum_model_size, screen_all
@@ -357,9 +357,12 @@ def run_study(
     labels = [rule.label for rule in rules]
     if len(set(labels)) != len(labels):
         raise ConfigError("rule labels must be unique")
-    # refuse what generate_response and screen_all would, before any design
+    # refuse what generate_response, screen_all and the rules would, before any design
     model.check_width(design.p)
     SliceConfig(c=c).slices(design.n)
+    for rule in rules:
+        if rule.kind == RULE_HARD_SIZE and rule.d > design.p:
+            raise InvalidSize(f"model size d={rule.d} outside [1, {design.p}]")
     outcomes = []
     for i in range(reps):
         outcome = run_replication(design, model, c, rules, i, master_seed)

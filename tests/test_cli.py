@@ -230,7 +230,8 @@ class TestScreen:
         assert capsys.readouterr().err == ""
 
     def test_auto_sigma_sorts_the_response_once(self, tmp_path, monkeypatch):
-        # every --sigma reads the dataset's one level table
+        # every --sigma reads the dataset's one level table, which
+        # augment-check's noise-augmented dataset shares
         calls = []
 
         def counted(y, real=estimator.rank_counts):
@@ -244,11 +245,14 @@ class TestScreen:
         tied = write_csv(tmp_path / "tied.csv", x, rng.integers(0, 3, 64))
         out = tmp_path / "r.json"
         for sigma, mode in [("auto", "plugin"), ("fixed", "fixed"), ("plugin", "plugin")]:
-            calls.clear()
-            assert run_cli(["screen", "--input", tied, "--response", "y",
-                            "--sigma", sigma, "--output", str(out)]) == 0
-            assert load(out)["calibration"]["mode"] == mode
-            assert calls == [64], sigma
+            for command in ("screen", "augment-check"):
+                calls.clear()
+                assert run_cli([command, "--input", tied, "--response", "y",
+                                "--sigma", sigma, "--output", str(out)]) == 0
+                report = load(out)
+                report = report.get("augmented", report)
+                assert report["calibration"]["mode"] == mode
+                assert calls == [64], (command, sigma)
 
     def test_deterministic_across_thread_counts(self, tmp_path, monkeypatch):
         csv_path = signal_csv(tmp_path, seed=4, n=128, p=23)  # prime p, trim path

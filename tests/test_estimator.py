@@ -18,6 +18,7 @@ from sitscreen.errors import (
 )
 from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
+    RankCounts,
     _exact_sum,
     _kept_counts,
     _ndtr,
@@ -308,6 +309,10 @@ class TestRankCounts:
     def test_counts_are_literal_comparisons(self, n, data):
         values = data.draw(LEVEL_MIXES)
         y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        if np.unique(y).shape[0] == 1:  # one level, -0.0 and 0.0 included
+            with pytest.raises(DegenerateResponse, match="^response is constant$"):
+                rank_counts(y)
+            return
         counts = rank_counts(y)
         r, dispersion = literal_counts(y)
         assert counts.r.tolist() == r
@@ -415,6 +420,7 @@ def test_trimmed_tie_free_dispersion_is_closed_form(n, rows, data):
 def test_kept_dispersion_from_level_drop_counts(n, rows, data):
     values = data.draw(LEVEL_MIXES)
     y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    assume(np.unique(y).shape[0] > 1)  # a constant response has no level table
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dropped = data.draw(st.integers(1, n - 2))
     drops, keep = trimmed_rows(rng, n, rows, dropped)
@@ -436,6 +442,12 @@ def test_constant_untrimmed_response_is_named_constant():
     sample = PairedSample(np.arange(64.0), np.full(64, 2.5))
     with pytest.raises(DegenerateResponse, match="^response is constant$"):
         sliced_estimate(sample, SliceConfig(8), VarianceCalibration.fixed())
+
+
+def test_one_level_table_is_refused():
+    # every entry point reads its constant check from here
+    with pytest.raises(DegenerateResponse, match="^response is constant$"):
+        RankCounts(level=np.zeros(5, dtype=np.intp), sizes=np.array([5]))
 
 
 def test_tie_free_flag():

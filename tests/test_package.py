@@ -8,8 +8,9 @@ USER_API = {
     "Dataset", "SliceConfig", "FdrConfig", "screen_all", "by_threshold",
     "hard_threshold_select", "Selection", "ThresholdRule",
     # what scripts/ imports
-    "DesignSpec", "ModelSpec", "run_study", "PairedSample",
-    "VarianceCalibration", "sliced_estimate",
+    "DesignSpec", "ModelSpec", "run_study",
+    # the README's single-pair API
+    "PairedSample", "VarianceCalibration", "sliced_estimate",
     # the exit-code families
     "SitScreenError", "InputError", "DegenerateData", "ConfigError",
 }

@@ -10,6 +10,7 @@ from sitscreen.errors import (
     ConfigError,
     IncompatibleDimensions,
     InvalidRho,
+    InvalidSize,
     SampleTooSmall,
 )
 from sitscreen.oracle import oracle_design
@@ -253,7 +254,8 @@ class TestRunStudy:
 
 
 class TestRefusedBeforeDesign:
-    """A bad width or slice size is refused before any design is drawn."""
+    """A bad width, slice size or model size is refused before any design is
+    drawn."""
 
     @pytest.fixture
     def designs(self, monkeypatch):
@@ -281,6 +283,13 @@ class TestRefusedBeforeDesign:
                       reps=2, master_seed=1)
         assert type(info.value) is error
         assert str(info.value) == message
+        assert designs == []
+
+    def test_hard_size_above_p(self, designs):
+        rules = [ThresholdRule(kind="by", q=0.1), ThresholdRule(kind="hard-size", d=31)]
+        with pytest.raises(InvalidSize, match=r"^model size d=31 outside \[1, 30\]$"):
+            run_study(DesignSpec(n=64, p=30, rho=0.5), ModelSpec("b1"), 8, rules,
+                      reps=2, master_seed=1)
         assert designs == []
 
     def test_valid_settings_draw_one_design_per_rep(self, designs):
