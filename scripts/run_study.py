@@ -13,8 +13,9 @@ P_all per (model, q, rule).  Its full grid takes a while; --p 1000 is quick.
 
 import argparse
 import json
+import sys
 
-from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study
+from sitscreen import DesignSpec, ModelSpec, SitScreenError, ThresholdRule, run_study
 from sitscreen.cli import STUDY_PRESETS
 
 SWEEPS = {
@@ -95,16 +96,21 @@ def fdr_rows(args, design, model, preset):
 
 def main():
     args, preset = parse_args()
-    design = DesignSpec(n=args.n, p=args.p, rho=preset["rho"])
     rows = fdr_rows if args.levels else ranking_rows
     collected = {}
-    for model_id in args.models:
-        collected.update(rows(args, design, ModelSpec(id=model_id, s=args.s), preset))
+    try:
+        design = DesignSpec(n=args.n, p=args.p, rho=preset["rho"])
+        for model_id in args.models:
+            collected.update(rows(args, design, ModelSpec(id=model_id, s=args.s), preset))
+    except SitScreenError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.exit_code
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(collected, fh, indent=2, sort_keys=True)
         print(f"\nwrote {args.output}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,21 +19,21 @@ evaluated here as a single correctly rounded division of exact integers.
 Everything depends on orderings alone, so the value is invariant under
 strictly increasing transformations of either variable.
 
-The kernel evaluates a block of covariates at once.  One in-place float
-sort orders the whole block: each value carries its row position in its
-low mantissa bits, which leaves values in distinct buckets in value order,
-so a row without near neighbours needs nothing more.  Only rows with ties
-(or values within a bucket's width of each other) are gathered and
-checked, and only tied rows draw tie-break keys.  Tied rows are ordered by
-a second in-place sort, of integer keys that pack each value's level, its
-tie-break key and its position.  The response is sorted once, by one
-``np.unique`` into a level table (each observation's level, each level's
-size); the kernel's rank counts r and dispersion sums and the calibration
-all follow from it.  Trimmed columns draw their drops for many columns at
+The kernel evaluates a block of covariates at once, and one driver
+(:func:`_omegas`) feeds it the columns of :func:`sliced_estimate` and of
+each ``screen_all`` worker alike.  One in-place float sort orders the
+whole block: each value carries its row position in its low mantissa bits,
+which leaves values in distinct buckets in value order, so a row without
+near neighbours needs nothing more.  Only rows with ties (or values within
+a bucket's width of each other) are gathered and checked, and only tied
+rows draw tie-break keys.  Tied rows are ordered by a second in-place
+sort, of integer keys that pack each value's level, its tie-break key and
+its position.  The response is sorted once, by one ``np.unique`` into a
+level table (each observation's level, each level's size); the kernel's
+rank counts r and dispersion sums and the calibration all follow from it.  Trimmed columns draw their drops for many columns at
 once (:func:`~sitscreen.seeding.trim_draws` reproduces numpy's ``choice`` in
 both of its regimes, Floyd's sampling and the partial shuffle), and their
-kept rank counts come from one table per batch of columns
-(:func:`_trim_table`).
+kept rank counts come from one table per span of blocks.
 
 Under independence of X and Y the scaled statistic
 
@@ -69,6 +69,15 @@ from .seeding import check_trim_draws, reseed, rng_from_seed, seed_words, trim_d
 FIXED_SIGMA_SQ = 4.0 / 5.0
 # The modes VarianceCalibration.from_counts (and --sigma) takes.
 SIGMA_MODES = ("auto", "fixed", "plugin")
+# Cells per kernel call (8 columns at n = 1024): 64 KB per working array, so
+# each thread's working set stays near 1 MB and peak memory barely moves.
+BLOCK_CELLS = 2**13
+# Cells of the kept-count table a trimmed run of columns builds at once
+# (columns x levels, 1 MB of int32).  Its draw holds about a dozen uint64
+# temporaries per column and trimmed row, so it covers at most
+# TABLE_CELLS // 16 of those (1.5 MB).  At n = 1000 and c = 32 a tie-free
+# response takes 256 columns per table, a response of 3 levels 2,048.
+TABLE_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -350,18 +359,6 @@ class _Trim(NamedTuple):
         return _Trim(*(field[lo:hi] for field in self))
 
 
-def _trim_table(counts: RankCounts, words, n_eff: int) -> _Trim:
-    """Draw the drops of every column seeded by a row of ``words`` and build
-    their kept counts, once for the whole run of columns."""
-    n = counts.level.shape[0]
-    check_trim_draws()
-    drops, used = trim_draws(words, n, n - n_eff)
-    at_most, den = _kept_counts(counts, drops, n_eff)
-    if 0 in den:
-        raise DegenerateResponse("response is constant after trimming")
-    return _Trim(drops, used, at_most, den)
-
-
 def _take_rows(a, idx):
     """``np.take_along_axis(a, idx, axis=1)`` as one flat ``np.take``,
     several times faster on small blocks."""
@@ -447,9 +444,9 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
     :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
     that :func:`~sitscreen.seeding.reseed` puts in each row's
     ``default_rng(tie seed)`` state.  ``trim`` is None when c divides n;
-    otherwise it holds the block's rows of :func:`_trim_table`: their
-    drops, the raw words those draws used, which a tied row's generator
-    skips, and the kept counts that give r and ``den``.  Rows draw what
+    otherwise it holds the block's rows of the trim table of
+    :func:`_omegas`: their drops, the raw words those draws used, which a
+    tied row's generator skips, and the kept counts that give r and ``den``.  Rows draw what
     :func:`arrange_by_covariate` draws, in order, but tie-break keys only
     for rows with ties; a tie-free row's order is unique, and one float
     sort of packed keys gives it.  For sorted slice ranks a_(j) the
@@ -489,6 +486,42 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
     ]
 
 
+def _omegas(x, counts: RankCounts, words, c, H, start, stop) -> np.ndarray:
+    """Statistic of columns ``start:stop`` of the (n, p) design ``x``, column
+    k seeded by ``words[k]`` (its :func:`~sitscreen.seeding.seed_words`).
+
+    The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
+    time, each block a transposed view of ``x``.  When c does not divide n,
+    the trims of a span of blocks are drawn and their kept counts built in
+    one table of up to TABLE_CELLS // max(levels, 16 * trimmed rows)
+    columns.  Blocks and spans only group the work: each column's value is
+    what it gives alone.
+    """
+    n, n_eff = x.shape[0], H * c
+    step = max(1, BLOCK_CELLS // n)
+    width = max(counts.sizes.shape[0], 16 * (n - n_eff))
+    span = step * max(1, TABLE_CELLS // (step * width))
+    gen = rng_from_seed(0)  # reseeded for every tied column
+    out = np.empty(stop - start, dtype=np.float64)
+    for first in range(start, stop, span):
+        last = min(first + span, stop)
+        trim = None
+        if n_eff < n:
+            check_trim_draws()
+            drops, used = trim_draws(words[first:last], n, n - n_eff)
+            at_most, den = _kept_counts(counts, drops, n_eff)
+            if 0 in den:
+                raise DegenerateResponse("response is constant after trimming")
+            trim = _Trim(drops, used, at_most, den)
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            part = trim.rows(lo - first, hi - first) if trim else None
+            out[lo - start : hi - start] = _omega_block(
+                x[:, lo:hi].T, counts, words[lo:hi], gen, c, H, part
+            )
+    return out
+
+
 def sliced_estimate(
     sample: PairedSample,
     config: SliceConfig,
@@ -505,10 +538,7 @@ def sliced_estimate(
     if calibration is None:
         calibration = VarianceCalibration.from_counts(counts)
     words = seed_words([config.tie_seed])
-    trim = _trim_table(counts, words, H * c) if sample.n % c else None
-    (value,) = _omega_block(
-        sample.x[None, :], counts, words, rng_from_seed(0), c, H, trim
-    )
+    (value,) = _omegas(sample.x[:, None], counts, words, c, H, 0, 1).tolist()
     z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
         omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c
@@ -600,9 +630,9 @@ def p_value_from_z(z: float | np.ndarray) -> np.float64 | np.ndarray:
     return _ndtr(-z)
 
 
-def _response_counts(y) -> RankCounts:
-    """The level table of a response given on its own, refused as
-    :class:`PairedSample` refuses one: not 1-D or not finite, or under 2 values."""
+def auto_calibration(y: np.ndarray) -> VarianceCalibration:
+    """Fixed 4/5 calibration for tie-free responses, plug-in otherwise.  A
+    response that is not 1-D, not finite or under 2 values is refused."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ConfigError("the response must be one-dimensional")
@@ -610,15 +640,4 @@ def _response_counts(y) -> RankCounts:
         raise ConfigError("all values must be finite")
     if y.shape[0] < 2:
         raise SampleTooSmall("need at least 2 observations")
-    return rank_counts(y)
-
-
-def plugin_calibration(y: np.ndarray) -> VarianceCalibration:
-    """The plug-in calibration of a response (see
-    :meth:`VarianceCalibration.from_counts`)."""
-    return VarianceCalibration.from_counts(_response_counts(y), "plugin")
-
-
-def auto_calibration(y: np.ndarray) -> VarianceCalibration:
-    """Fixed 4/5 calibration for tie-free responses, plug-in otherwise."""
-    return VarianceCalibration.from_counts(_response_counts(y))
+    return VarianceCalibration.from_counts(rank_counts(y))

@@ -7,19 +7,13 @@ ranking live in :mod:`sitscreen.fdr`.  Also holds the ranking diagnostic
 studies and the stability check.
 
 Every column is cut into the H slices of ``SliceConfig.slices``, the one
-row floor.  Each worker walks its span of columns in blocks of about
-BLOCK_CELLS cells and hands each block, as a transposed view of the design,
-to one batched kernel, which copies it as it builds its sort keys.  Column k's
-trimming and tie-break randomness comes from the seed hash(master_seed, k),
-drawn only when the column needs it (trimming, or ties among its values), so
-results are identical for any worker count and any chunking of the columns.
-All p seeds are hashed in one batched call per screen.  When n is not a
-multiple of c, a worker draws the trims of its columns (numpy's ``choice``
-bit for bit, one vectorised pass in Floyd's regime) and builds their kept
-counts in one table, for up to TABLE_CELLS // max(levels, 16 * trimmed rows)
-columns at a time.
-It reseeds one generator only for columns with ties, whose order comes
-from one in-place sort of packed integer keys per block.
+row floor.  Each worker hands its span of columns to the statistic's one
+column driver (``estimator._omegas``), which walks them in kernel blocks.
+Column k's trimming and tie-break randomness comes from the seed
+hash(master_seed, k), drawn only when the column needs it (trimming, or
+ties among its values), so results are identical for any worker count and
+any chunking of the columns.  All p seeds are hashed in one batched call
+per screen.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,8 +30,7 @@ from .estimator import (
     RankCounts,
     SliceConfig,
     VarianceCalibration,
-    _omega_block,
-    _trim_table,
+    _omegas,
     p_value_from_z,
     rank_counts,
     z_statistic,
@@ -46,15 +39,6 @@ from .seeding import derive_seeds, rng_from_seed, seed_words
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 
-# Cells per kernel call (8 columns at n = 1024): 64 KB per working array, so
-# each thread's working set stays near 1 MB and peak memory barely moves.
-BLOCK_CELLS = 2**13
-# Cells of the kept-count table a trimmed screen builds at once (columns x
-# levels, 1 MB of int32).  Its draw holds about a dozen uint64 temporaries
-# per column and trimmed row, so it covers at most TABLE_CELLS // 16 of those
-# (1.5 MB).  At n = 1000 and c = 32 a tie-free response takes 256 columns
-# per table, a response of 3 levels 2,048.
-TABLE_CELLS = 2**18
 # Cells per finiteness check of a Dataset (a 64 KB boolean).
 FINITE_CELLS = 2**16
 
@@ -184,29 +168,12 @@ def screen_all(
     x = data.x
     if not (x[1] != x[0]).any() and np.all(x == x[0:1, :]):
         raise AllColumnsConstant("every covariate column is constant")
-    p, n_eff = data.p, H * c
-    step = max(1, BLOCK_CELLS // data.n)
-    width = max(counts.sizes.shape[0], 16 * (data.n - n_eff))
-    span = step * max(1, TABLE_CELLS // (step * width))
-    omega = np.empty(p, dtype=np.float64)
+    p = data.p
     words = seed_words(derive_seeds(config.tie_seed, p))
-
-    def work(start, stop):
-        gen = rng_from_seed(0)  # reseeded for every tied column
-        for first in range(start, stop, span):
-            last = min(first + span, stop)
-            trim = None
-            if n_eff < data.n:
-                trim = _trim_table(counts, words[first:last], n_eff)
-            for lo in range(first, last, step):
-                hi = min(lo + step, last)
-                part = trim.rows(lo - first, hi - first) if trim else None
-                xt = data.x[:, lo:hi].T  # a view: the kernel's key build copies it
-                omega[lo:hi] = _omega_block(xt, counts, words[lo:hi], gen, c, H, part)
-
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        list(pool.map(work, bounds[:-1], bounds[1:]))
+        work = partial(_omegas, x, counts, words, c, H)
+        omega = np.concatenate(list(pool.map(work, bounds[:-1], bounds[1:])))
 
     z = z_statistic(omega, H * c, c, calibration)
     p_values = p_value_from_z(z)

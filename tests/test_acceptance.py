@@ -27,7 +27,7 @@ from sitscreen import (
     sliced_estimate,
 )
 from sitscreen.errors import DegenerateResponse
-from sitscreen.estimator import p_value_from_z, plugin_calibration
+from sitscreen.estimator import p_value_from_z, rank_counts
 from sitscreen.oracle import oracle_estimate, oracle_threshold
 from sitscreen.cli import main as cli_main
 from sitscreen.screening import ScreeningResult
@@ -156,7 +156,7 @@ def test_criterion_04_null_calibration():
 def test_criterion_05_sigma_constant():
     rng = np.random.default_rng(list(b"criterion-5"))
     y = rng.random(10_000)
-    cal = plugin_calibration(y)
+    cal = VarianceCalibration.from_counts(rank_counts(y), "plugin")
     _criterion(
         5, "plug-in calibration recovers sigma^2 = 4/5 and theta2 = 1/6",
         abs(cal.sigma_sq - 0.8) <= 0.05 and abs(cal.theta2 - 1 / 6) <= 0.01,

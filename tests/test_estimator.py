@@ -27,7 +27,6 @@ from sitscreen.estimator import (
     arrange_by_covariate,
     auto_calibration,
     p_value_from_z,
-    plugin_calibration,
     rank_counts,
     z_statistic,
 )
@@ -179,30 +178,32 @@ class TestNdtrPort:
 
 class TestPluginCalibration:
     def test_hand_value(self):
-        cal = plugin_calibration(np.array([1.0, 2.0, 3.0, 4.0]))
+        counts = rank_counts(np.array([1.0, 2.0, 3.0, 4.0]))
+        cal = VarianceCalibration.from_counts(counts, "plugin")
         assert cal.theta2 == 10 / 64
         assert cal.sigma_sq == 2 * cal.theta1 / cal.theta2**2
 
     def test_rank_only(self):
         y = np.array([0.3, -1.2, 5.0, 2.2, 2.2, -7.0, 0.0, 1.0])
-        a = plugin_calibration(y)
-        b = plugin_calibration(np.exp(y))
+        a = VarianceCalibration.from_counts(rank_counts(y), "plugin")
+        b = VarianceCalibration.from_counts(rank_counts(np.exp(y)), "plugin")
         assert (a.theta1, a.theta2) == (b.theta1, b.theta2)
 
     def test_constant_raises(self):
         with pytest.raises(DegenerateResponse):
-            plugin_calibration(np.full(6, 3.0))
+            VarianceCalibration.from_counts(rank_counts(np.full(6, 3.0)), "plugin")
 
     def test_single_observation_is_too_small(self):
         with pytest.raises(SampleTooSmall):
-            plugin_calibration(np.array([1.0]))
+            auto_calibration(np.array([1.0]))
 
     def test_near_constant_raises(self):
         # one value below a tied maximum is a binary response: sigma^2 = 2;
         # only a constant response has no calibration
-        assert plugin_calibration(np.array([1.0, 2.0, 2.0, 2.0])).sigma_sq == 2.0
+        counts = rank_counts(np.array([1.0, 2.0, 2.0, 2.0]))
+        assert VarianceCalibration.from_counts(counts, "plugin").sigma_sq == 2.0
         with pytest.raises(DegenerateResponse):
-            plugin_calibration(np.array([2.0, 2.0, 2.0, 2.0]))
+            VarianceCalibration.from_counts(rank_counts(np.full(4, 2.0)), "plugin")
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 60), st.data())
@@ -210,11 +211,11 @@ class TestPluginCalibration:
         values = data.draw(st.just(BINARY) | LEVEL_MIXES)
         y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         assume(np.unique(y).shape[0] > 1)
-        cal = plugin_calibration(y)
+        cal = VarianceCalibration.from_counts(rank_counts(y), "plugin")
         assert cal.theta1 == oracle_theta1(y)
         assert cal.sigma_sq == 2.0 * cal.theta1 / cal.theta2**2
 
-    @pytest.mark.parametrize("calibrate", [auto_calibration, plugin_calibration])
+    @pytest.mark.parametrize("calibrate", [auto_calibration])
     @pytest.mark.parametrize(
         "y, error",
         [
@@ -244,7 +245,8 @@ def test_exact_dispersion_sum_beyond_int64():
     x = np.arange(n, dtype=np.float64)
     estimate = sliced_estimate(PairedSample(x, x), SliceConfig(c=c))
     assert estimate.omega_hat == (n - c) / (n + 1)
-    assert plugin_calibration(x).theta2 == (n * (n * n - 1) // 6) / n**3
+    cal = VarianceCalibration.from_counts(rank_counts(x), "plugin")
+    assert cal.theta2 == (n * (n * n - 1) // 6) / n**3
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,14 +26,14 @@ from sitscreen.errors import (
     SampleTooSmall,
 )
 from sitscreen.estimator import (
+    BLOCK_CELLS,
     VarianceCalibration,
     auto_calibration,
-    plugin_calibration,
+    rank_counts,
 )
 from sitscreen.fdr import level_threshold_select
 from sitscreen.oracle import oracle_estimate
 from sitscreen.screening import (
-    BLOCK_CELLS,
     augment_with_noise,
     minimum_model_size,
     resolve_threads,
@@ -411,7 +411,7 @@ def test_trim_tables_do_not_change_the_bits(monkeypatch):
     y = rng.standard_normal(n)
     config = SliceConfig(c=c, tie_seed=21)
     whole = screen_all(Dataset(x, y), config, threads=1)
-    monkeypatch.setattr(screening, "TABLE_CELLS", 1)
+    monkeypatch.setattr(estimator, "TABLE_CELLS", 1)
     for threads in (1, 2):
         chunked = screen_all(Dataset(x, y), config, threads=threads)
         assert chunked.omega.tobytes() == whole.omega.tobytes()
@@ -541,7 +541,7 @@ def test_screen_calibration_matches_unique_count_rule(kind):
     if np.unique(y).shape[0] == y.shape[0]:
         expected = VarianceCalibration.fixed()
     else:
-        expected = plugin_calibration(y)
+        expected = VarianceCalibration.from_counts(rank_counts(y), "plugin")
     x = rng.standard_normal((40, 3))
     result = screen_all(Dataset(x, y), SliceConfig(c=4))
     assert result.calibration == expected == auto_calibration(y)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-RUN_STUDY = Path(__file__).resolve().parents[1] / "scripts" / "run_study.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+RUN_STUDY = SCRIPTS / "run_study.py"
 
 
 @pytest.mark.parametrize("flags, header, keys", [
@@ -37,3 +38,28 @@ def test_run_study_refuses_cells_sharing_a_key(child_env, flags):
     proc = subprocess.run([sys.executable, str(RUN_STUDY), *flags],
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 2 and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--study", "2", "--s", "3"],
+    ["--study", "1", "--models", "zz"],
+    ["--study", "1", "--slice-sizes", "1"],
+    ["--study", "3", "--p", "10"],
+], ids=["fixed-active-set", "unknown-model", "slice-size-1", "p-below-s"])
+def test_run_study_reports_a_config_error_without_traceback(child_env, flags):
+    proc = subprocess.run([sys.executable, str(RUN_STUDY), *flags, "--reps", "1"],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_null_calibration_prints_its_table(child_env):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "null_calibration.py"), "--n", "128",
+         "--slice-sizes", "4", "--reps", "50", "--response", "binary:0.5"],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split() == ["c", "sigma^2", "mean(z)", "var(z)", "var*s^2", "KS", "by", "sel"]
+    assert lines[2].split()[:2] == ["4", "2.0000"]
