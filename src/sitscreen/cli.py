@@ -8,9 +8,10 @@ Three subcommands:
 
 Exit codes: 0 success, 1 closed stdout, 2 input error, 3 degenerate data,
 4 config error.
-Worker parallelism is capped by the SIT_SCREEN_THREADS environment variable;
-thread count never changes results.  The master seed defaults to the fixed
-constant 42 (never time-based) so runs are reproducible by default.
+The SIT_SCREEN_THREADS environment variable sets the worker count (default:
+the CPU count); thread count never changes results.  The master seed
+defaults to the fixed constant 42 (never time-based) so runs are
+reproducible by default.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ def build_parser() -> _Parser:
     csv_common.add_argument("--input", required=True, help="CSV file with header")
     csv_common.add_argument("--response", required=True,
                             help="response column: a name, or #k for 0-based index k")
-    csv_common.add_argument("--standardize", action="store_true",
-                            help="center and scale covariates before screening")
     csv_common.add_argument("--c", action=_SliceSize, default="auto",
                             help="observations per slice, or 'auto' (default)")
     csv_common.add_argument("--sigma", choices=SIGMA_MODES,
@@ -163,7 +162,6 @@ def _screen_once(args, data: Dataset, seed: int):
     effective = {
         "input": args.input,
         "response": args.response,
-        "standardize": bool(args.standardize),
         "n": int(data.n),
         "p": int(data.p),
         "c": int(c),
@@ -203,7 +201,7 @@ def _output_file(path):
 
 def cmd_screen(args) -> int:
     started = time.perf_counter()
-    data = ingest_csv(args.input, args.response, standardize=args.standardize)
+    data = ingest_csv(args.input, args.response)
     result, selection, effective = _screen_once(args, data, args.seed)
     report = screen_report(
         result, selection, selection.selected, data.names, effective,
@@ -278,7 +276,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_augment_check(args) -> int:
     started = time.perf_counter()
-    data = ingest_csv(args.input, args.response, standardize=args.standardize)
+    data = ingest_csv(args.input, args.response)
     result, selection, effective = _screen_once(args, data, args.seed)
     num_aux = args.num_aux
     if num_aux is None:

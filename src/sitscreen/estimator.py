@@ -162,8 +162,11 @@ class RankCounts:
 
     @cached_property
     def dispersion(self) -> int:
-        """Exact sum of R_i (n - R_i) over the sample, taken on first use."""
-        return _dispersion_sums(self.sizes, self.level.shape[0])[0]
+        """Exact sum of R_i (n - R_i) over the sample, taken on first use:
+        sum_l m_l R_l (n - R_l), R_l = n - cumsum(m)_l + m_l."""
+        n, m = self.level.shape[0], self.sizes
+        R = n - np.cumsum(m) + m
+        return _exact_sum(m, R, n - R)
 
     @property
     def tie_free(self) -> bool:
@@ -284,43 +287,27 @@ def rank_counts(y: np.ndarray) -> RankCounts:
     return RankCounts(level=level, sizes=sizes)
 
 
-def _dispersion_sums(m: np.ndarray, n: int) -> list[int]:
-    """Exact sum of R_i (n - R_i) over each sample whose level sizes are a
-    row of ``m``, one Python int per row: sum_l m_l R_l (n - R_l) with
-    R_l = n - cumsum(m)_l + m_l the count at or above level l.
-
-    A plain int64 sum wraps once n^3 / 6 passes 2^63 (n above about 4M), so
-    each term (at most n^2 / 4) is split into 32-bit halves; each half sums
-    in int64 for n < 2^31, the sizes summing to n, and the halves are
-    combined as Python ints.
-    """
-    m = np.atleast_2d(m)
-    R = n - np.cumsum(m, axis=1) + m
-    terms = R * (n - R)
-    high = np.sum(m * (terms >> 32), axis=1)
-    low = np.sum(m * (terms & 0xFFFFFFFF), axis=1)
-    return [(int(h) << 32) + int(l) for h, l in zip(high, low)]
-
-
-def _exact_sum(m, a, b) -> int:
-    """Exact sum of m_l a_l b_l as a Python int, for level sizes m summing to
-    n < 2^31 and non-negative a, b below 2^63.  With 32-bit halves a = a1 2^32
-    + a0 and b likewise, a b = a1 b1 2^64 + (a1 b0 + a0 b1) 2^32 + a0 b0, each
-    part below 2^64; each part's m-weighted sum is taken in uint64 by halves,
-    and the halves are combined as Python ints.  When every a b is below
-    2^64 (each of the plug-in's sums for n < 2^16) a b is the one part.  At
-    millions of levels the passes run out of cache (ROADMAP item 8)."""
+def _exact_sum(m, a, b):
+    """Exact sum of m_l a_l b_l over the last axis, a Python int (for 2-D
+    input a list of them, one per row), for level sizes m summing to n < 2^31
+    along that axis and non-negative a, b below 2^63.  With 32-bit halves
+    a = a1 2^32 + a0 and b likewise, a b = a1 b1 2^64 + (a1 b0 + a0 b1) 2^32
+    + a0 b0, each part below 2^64; each part's m-weighted sum is taken in
+    uint64 by halves, and the halves are combined as Python ints.  When
+    every a b is below 2^64 (R (n - R) always, each of the plug-in's sums
+    for n < 2^16) a b is the one part.  At millions of levels the passes run
+    out of cache (ROADMAP item 8)."""
     m, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in (m, a, b)))
     if int(a.max()) * int(b.max()) < 2**64:
         parts = ((0, a * b),)
     else:
         a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
         parts = ((64, a1 * b1), (32, a1 * b0 + a0 * b1), (0, a0 * b0))
-    total = 0
+    total = np.zeros(m.shape[:-1], dtype=object)
     for shift, part in parts:
-        total += int(m @ (part >> 32)) << (shift + 32)
-        total += int(m @ (part & 0xFFFFFFFF)) << shift
-    return total
+        for half, at in ((part >> 32, shift + 32), (part & 0xFFFFFFFF, shift)):
+            total += np.einsum("...l,...l->...", m, half).astype(object) << at
+    return total.tolist()
 
 
 def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:
@@ -331,9 +318,10 @@ def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:
     full cumulative size less D(l), the row's drops at or below level l.
     D is a step function with one step per drop, laid out by one
     ``np.repeat`` of 0..rem over the runs between the sorted drop levels.
-    The dispersion sum is :func:`_dispersion_sums` of the kept sizes;
-    tie-free, the kept R are a permutation of 1..n_eff and the sum is
-    n_eff (n_eff^2 - 1) / 6.  The table is int32 below 2**31 rows.
+    The dispersion sum is :meth:`RankCounts.dispersion` of the kept sizes,
+    all rows in one :func:`_exact_sum`; tie-free, the kept R are a
+    permutation of 1..n_eff and the sum is n_eff (n_eff^2 - 1) / 6.  The
+    table is int32 below 2**31 rows.
     """
     rows, rem = drops.shape
     L = counts.sizes.shape[0]
@@ -343,7 +331,9 @@ def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:
     at_most = np.cumsum(counts.sizes).astype(dtype) - below.reshape(rows, L)
     if counts.tie_free:
         return at_most, [n_eff * (n_eff**2 - 1) // 6] * rows
-    return at_most, _dispersion_sums(np.diff(at_most, axis=1, prepend=0), n_eff)
+    m = np.diff(at_most, axis=1, prepend=0)
+    R = n_eff - at_most + m
+    return at_most, _exact_sum(m, R, n_eff - R)
 
 
 class _Trim(NamedTuple):

@@ -4,6 +4,8 @@ Input files are RFC-4180 CSV with a header row.  One column is the response,
 selected by name or by ``#k`` with k a 0-based column index; every other
 column must be numeric.  Rows with missing or non-finite cells are rejected
 outright: imputation would silently change ranks and therefore the statistic.
+Covariates are kept as read, never centred or scaled: the statistic reads
+ranks only, and rescaling floats can merge distinct values.
 
 The data rows are read by one of two paths.  The bulk path streams them
 through a single ``np.loadtxt`` call and checks shape and finiteness once.
@@ -45,21 +47,19 @@ def resolve_response(header: list[str], selector: str) -> int:
         raise MissingResponse(f"no column named {selector!r}") from None
 
 
-def ingest_csv(path, response_selector: str, standardize: bool = False) -> Dataset:
+def ingest_csv(path, response_selector: str) -> Dataset:
     """Parse a CSV file into a Dataset.
 
-    ``standardize`` centers and scales each covariate column to zero mean
-    and unit sample variance (ddof=1); constant columns are only centered.
     Parse failures, undecodable bytes included, raise :class:`ParseError`;
     a bad cell is named by row number and column name.
     """
     try:
-        return _ingest(path, response_selector, standardize)
+        return _ingest(path, response_selector)
     except (UnicodeDecodeError, csv.Error) as err:
         raise ParseError(f"{path}: {err}") from None
 
 
-def _ingest(path, response_selector: str, standardize: bool) -> Dataset:
+def _ingest(path, response_selector: str) -> Dataset:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -86,8 +86,6 @@ def _ingest(path, response_selector: str, standardize: bool) -> Dataset:
     y = table[:, response_idx]
     x = np.delete(table, response_idx, axis=1)
     names = tuple(h for j, h in enumerate(header) if j != response_idx)
-    if standardize:
-        x = standardize_columns(x)
     return Dataset(x=x, y=y, names=names)
 
 
@@ -157,23 +155,3 @@ def _scan_rows(fh, path, header: list[str]) -> np.ndarray:
     if not rows:
         raise EmptyData(f"{path}: no data rows")
     return np.vstack(rows)
-
-
-def standardize_columns(x: np.ndarray) -> np.ndarray:
-    """Center each column; scale to unit sample variance where possible.
-
-    The variance squares the centred values, which overflow past 2**512, so
-    a column whose largest magnitude reaches 2**500 is first divided by the
-    power of two that brings it below 1: exact, and standardising undoes
-    any such scale.  Other columns keep their bits.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _, exp = np.frexp(np.abs(x).max(axis=0, initial=0.0))
-    if (exp > 500).any():
-        x = np.ldexp(x, np.where(exp > 500, -exp, 0))
-    centered = x - x.mean(axis=0)
-    if x.shape[0] < 2:
-        return centered
-    sd = centered.std(axis=0, ddof=1)
-    sd[sd == 0.0] = 1.0
-    return centered / sd

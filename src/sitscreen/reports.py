@@ -23,7 +23,7 @@ from .fdr import Selection
 from .screening import ScreeningResult
 from .simlab import SimulationReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REPLICATION_CSV_HEADER = "rep,rule,model_size,fdp,all_active,mms"
 

@@ -128,7 +128,8 @@ class ScreeningResult:
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Worker count: explicit request, capped by SIT_SCREEN_THREADS if set."""
+    """Worker count: the explicit request, else SIT_SCREEN_THREADS, else the
+    CPU count; SIT_SCREEN_THREADS, if set, also caps a request."""
     cap = os.environ.get(THREADS_ENV_VAR)
     try:
         cap = int(cap) if cap else None

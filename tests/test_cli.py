@@ -62,7 +62,8 @@ class TestScreen:
                         "--output", str(out)])
         assert code == 0
         report = load(out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert "standardize" not in report["config"]
         assert report["config"]["c"] == 16 and report["config"]["n"] == 256
         records = report["covariates"]
         assert [r["rank"] for r in records] == list(range(1, 41))
@@ -203,32 +204,6 @@ class TestScreen:
         config = load(out)["config"]
         assert {key: config[key] for key in echoed} == echoed
 
-    def test_standardize_is_noop_for_omega(self, tmp_path):
-        csv_path = signal_csv(tmp_path, seed=3)
-        raw, std = tmp_path / "raw.json", tmp_path / "std.json"
-        run_cli(["screen", "--input", csv_path, "--response", "y",
-                 "--seed", "9", "--output", str(raw)])
-        run_cli(["screen", "--input", csv_path, "--response", "y",
-                 "--seed", "9", "--standardize", "--output", str(std)])
-        omega_raw = [r["omega"] for r in load(raw)["covariates"]]
-        omega_std = [r["omega"] for r in load(std)["covariates"]]
-        assert omega_raw == omega_std
-
-    def test_standardize_keeps_omega_of_a_huge_column(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((64, 3))
-        x[:, 0] = 1e200 * rng.standard_normal(64)
-        y = x[:, 0] + rng.standard_normal(64)
-        csv_path = write_csv(tmp_path / "huge.csv", x, y)
-        omegas = []
-        for flags in ([], ["--standardize"]):
-            out = tmp_path / "r.json"
-            assert run_cli(["screen", "--input", csv_path, "--response", "y",
-                            *flags, "--output", str(out)]) == 0
-            omegas.append([r["omega"] for r in load(out)["covariates"]])
-        assert omegas[0] == omegas[1]
-        assert capsys.readouterr().err == ""
-
     def test_auto_sigma_sorts_the_response_once(self, tmp_path, monkeypatch):
         # every --sigma reads the dataset's one level table, which
         # augment-check's noise-augmented dataset shares
@@ -308,6 +283,16 @@ class TestExitCodes:
                         "--c", "one"])
         assert code == 4
         assert "--c must be an integer or 'auto', got 'one'" in capsys.readouterr().err
+        # covariates are screened as read, so --standardize is an unknown
+        # flag, refused before an output file is opened
+        out = tmp_path / "r.json"
+        for command in ("screen", "augment-check"):
+            code = run_cli([command, "--input", csv_path, "--response", "y",
+                            "--standardize", "--output", str(out)])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--standardize" in err
+            assert not out.exists()
 
     def test_bad_thread_cap(self, tmp_path, monkeypatch, capsys):
         csv_path = signal_csv(tmp_path)

@@ -259,6 +259,13 @@ def test_exact_sum_is_the_python_int_sum(rows):
     assert _exact_sum(m, a, 1) == sum(u * v for u, v, _ in rows)
     # every product below 2^64: the one-part path
     assert _exact_sum(m, a >> 32, b >> 32) == sum(u * (v >> 32) * (w >> 32) for u, v, w in rows)
+    # 2-D: one sum per row, over the last axis, by three parts and by one
+    m2, a2 = np.stack([m, m[::-1]]), np.stack([a, a >> 32])
+    for shift in (0, 32):
+        assert _exact_sum(m2, a2 >> shift, b >> 32) == [
+            sum(u * (v >> shift) * (w >> 32) for u, v, w in zip(mr, ar, b.tolist()))
+            for mr, ar in zip(m2.tolist(), a2.tolist())
+        ]
 
 
 def literal_counts(y):

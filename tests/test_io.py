@@ -16,7 +16,7 @@ from sitscreen.errors import (
     ParseError,
     SitScreenError,
 )
-from sitscreen.io import ingest_csv, standardize_columns
+from sitscreen.io import ingest_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -90,46 +90,6 @@ def test_response_only_is_empty_data(tmp_path):
     path = write(tmp_path, "y\n1\n2\n3\n4\n5\n", name="only_y.csv")
     with pytest.raises(EmptyData, match="only_y.csv: no covariate column"):
         ingest_csv(path, "y")
-
-
-def test_standardize_moments(tmp_path):
-    rng = np.random.default_rng(0)
-    rows = ["x1,x2,y"]
-    for _ in range(50):
-        a, b = rng.normal(5, 3), rng.normal(-2, 0.5)
-        rows.append(f"{float(a)!r},{float(b)!r},{rng.random()!r}")
-    path = write(tmp_path, "\n".join(rows) + "\n")
-    data = ingest_csv(path, "y", standardize=True)
-    assert np.abs(data.x.mean(axis=0)).max() < 1e-12
-    assert np.abs(data.x.var(axis=0, ddof=1) - 1.0).max() < 1e-12
-
-
-def test_standardize_constant_column_only_centered():
-    x = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-    out = standardize_columns(x)
-    assert np.array_equal(out[:, 0], np.zeros(10))
-    assert out[:, 1].var(ddof=1) == pytest.approx(1.0, abs=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 30), st.integers(1, 4), st.data())
-def test_standardize_undoes_a_huge_power_of_two(n, p, data):
-    # multiples of 2**-20 up to 2**20: no square over- or underflows unscaled
-    cells = st.integers(-2**40, 2**40).map(lambda v: v / 2**20)
-    x = np.array(data.draw(st.lists(cells, min_size=n * p, max_size=n * p)))
-    x = x.reshape(n, p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        huge = standardize_columns(x * 2.0**600)
-    assert huge.tobytes() == standardize_columns(x).tobytes()
-
-
-def test_standardize_keeps_columns_below_the_bound():
-    x = np.column_stack([np.arange(6.0) * 2.0**498, np.arange(6.0) * 2.0**501])
-    out = standardize_columns(x)
-    centered = x[:, 0] - x[:, 0].mean()
-    assert out[:, 0].tobytes() == (centered / centered.std(ddof=1)).tobytes()
-    assert out[:, 1].tobytes() == standardize_columns(np.arange(6.0)[:, None]).tobytes()
 
 
 def test_quoted_fields(tmp_path):
