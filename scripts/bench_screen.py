@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""In-process ``screen_all`` timings of the trimmed and tied paths.
+"""In-process ``screen_all`` timings of the untrimmed, trimmed and tied paths.
 
-Two workloads, each timed at one and at two threads (c = 32):
+Three workloads, each timed at one and at two threads (c = 32):
 
+- ``wide_gaussian``: a 1024x5000 Gaussian design, nothing trimmed, no
+  ties: the float path alone, which a change to the tied or integer paths
+  must leave where it was;
 - ``trimmed_gaussian``: a 1000x5000 Gaussian design, 8 rows trimmed per
   column, no ties;
 - ``genotypes``: a 1000x1000 design of {0, 1, 2} genotypes, every column
@@ -31,7 +34,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WORKLOADS = ("trimmed_gaussian", "genotypes")
+WORKLOADS = ("wide_gaussian", "trimmed_gaussian", "genotypes")
 THREADS = (1, 2)
 
 
@@ -41,9 +44,10 @@ def make_data(workload, seed):
     from sitscreen import Dataset
 
     rng = np.random.default_rng(seed)
-    if workload == "trimmed_gaussian":
-        x = rng.standard_normal((1000, 5000))
-        return Dataset(x, x[:, :10].sum(axis=1) + rng.standard_normal(1000))
+    if workload.endswith("_gaussian"):
+        n = 1024 if workload == "wide_gaussian" else 1000
+        x = rng.standard_normal((n, 5000))
+        return Dataset(x, x[:, :10].sum(axis=1) + rng.standard_normal(n))
     x = rng.binomial(2, rng.uniform(0.05, 0.5, 1000), (1000, 1000)).astype(float)
     return Dataset(x, np.rint(x[:, :20].sum(axis=1) + rng.standard_normal(1000)))
 

@@ -21,19 +21,24 @@ strictly increasing transformations of either variable.
 
 The kernel evaluates a block of covariates at once, and one driver
 (:func:`_omegas`) feeds it the columns of :func:`sliced_estimate` and of
-each ``screen_all`` worker alike.  One in-place float sort orders the
-whole block: each value carries its row position in its low mantissa bits,
-which leaves values in distinct buckets in value order, so a row without
-near neighbours needs nothing more.  Only rows with ties (or values within
-a bucket's width of each other) are gathered and checked, and only tied
-rows draw tie-break keys.  Tied rows are ordered by a second in-place
-sort, of integer keys that pack each value's level, its tie-break key and
-its position.  The response is sorted once, by one ``np.unique`` into a
-level table (each observation's level, each level's size); the kernel's
-rank counts r and dispersion sums and the calibration all follow from it.  Trimmed columns draw their drops for many columns at
-once (:func:`~sitscreen.seeding.trim_draws` reproduces numpy's ``choice`` in
-both of its regimes, Floyd's sampling and the partial shuffle), and their
-kept rank counts come from one table per span of blocks.
+each ``screen_all`` worker alike.  A column is ordered by one in-place
+sort of integer keys that pack each value's level, its tie-break key and
+its position.  A column of integers less than 2**11 apart (a genotype)
+takes its levels from its values, less the column minimum, and needs no
+other sort.  The other columns take one in-place float sort per block
+first: each value carries its row position in its low mantissa bits,
+which leaves values in distinct buckets in value order, so a column
+without near neighbours needs nothing more.  Only columns with ties (or
+values within a bucket's width of each other) are gathered and checked,
+and the tied ones take the key sort, their dense ranks as levels.  Only
+the columns that take the key sort draw tie-break keys.  The response is
+sorted once, by one ``np.unique`` into a level table (each observation's
+level, each level's size); the kernel's rank counts r and dispersion sums
+and the calibration all follow from it.  Trimmed columns draw their drops
+for many columns at once (:func:`~sitscreen.seeding.trim_draws` reproduces
+numpy's ``choice`` in both of its regimes, Floyd's sampling and the
+partial shuffle), and their kept rank counts come from one table per span
+of blocks.
 
 Under independence of X and Y the scaled statistic
 
@@ -69,9 +74,12 @@ from .seeding import check_trim_draws, reseed, rng_from_seed, seed_words, trim_d
 FIXED_SIGMA_SQ = 4.0 / 5.0
 # The modes VarianceCalibration.from_counts (and --sigma) takes.
 SIGMA_MODES = ("auto", "fixed", "plugin")
-# Cells per kernel call (8 columns at n = 1024): 64 KB per working array, so
-# each thread's working set stays near 1 MB and peak memory barely moves.
-BLOCK_CELLS = 2**13
+# Cells per kernel call (16 columns at n = 1024): 128 KB per working array,
+# so each thread's working set stays near 2 MB and peak memory barely moves.
+# Timed at one thread against 2**13 and 2**15 on five shapes: 2**15 sped up
+# trimmed and genotype screens a little more, but slowed untrimmed Gaussian
+# screens (1024 x 1000 and 1024 x 5000) by 30-40%.
+BLOCK_CELLS = 2**14
 # Cells of the kept-count table a trimmed run of columns builds at once
 # (columns x levels, 1 MB of int32).  Its draw holds about a dozen uint64
 # temporaries per column and trimmed row, so it covers at most
@@ -356,36 +364,73 @@ def _take_rows(a, idx):
     return np.take(a, idx + a.shape[1] * np.arange(a.shape[0])[:, None])
 
 
-def _tie_order(x, order, ordered, u):
-    """``np.lexsort((u, x), axis=1)`` of tied rows, given each row's argsort
-    ``order`` and sorted values ``ordered``.
-
-    One in-place sort of integer keys built in sorted order: level << 53 |
-    u * 2**53 with its low b bits replaced by the position, 2**b >= n.  The
-    level is the dense rank of x in its row (``!=`` keeps -0.0 and 0.0 on
-    one level) and u * 2**53 an integer, since random() returns multiples
-    of 2**-53.  The sorted keys' low bits are the order.  It stands unless
-    two neighbours share their high 64 - b bits (u equal down to the
-    position bits) or the row has 2**11 levels or more: those rows take the
-    lexsort.
+def _integer_levels(xt):
+    """The rows of ``xt`` whose values are all integers less than 2**11
+    apart (their indices, empty if none), and those rows' values less the
+    row minimum: uint64 levels below 2**11 that sort and tie as the values
+    do (-0.0 and 0.0 share one), since such a difference is exact.  Rows
+    are screened by their first value, so a block of floats costs one test
+    per row.
     """
-    low = np.uint64((1 << (x.shape[1] - 1).bit_length()) - 1)
-    keys = np.zeros(x.shape, dtype=np.uint64)
-    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=keys[:, 1:])
-    levels = keys[:, -1].copy()
+    ints = [i for i, v in enumerate(xt[:, 0].tolist()) if v.is_integer()]
+    if not ints:
+        return ints, None
+    ints = np.array(ints)
+    rows = xt[ints]
+    lo = rows.min(axis=1, keepdims=True)
+    ok = (rows.max(axis=1) < lo[:, 0] + 2**11) & (np.rint(rows) == rows).all(axis=1)
+    if not ok.all():
+        ints, rows, lo = ints[ok], rows[ok], lo[ok]
+    return ints, (rows - lo).astype(np.int64).view(np.uint64)
+
+
+def _tie_keys(gen, words, trim, rows, n):
+    """Tie-break keys u of block ``rows``, each drawn as
+    :func:`arrange_by_covariate` draws them: from the row's tie seed
+    (``words``), after the raw words its trim used."""
+    u = np.empty((rows.size, n))
+    for i, j in enumerate(rows.tolist()):
+        reseed(gen, words[j].tolist())
+        if trim is not None:
+            gen.bit_generator.advance(int(trim.used[j]))
+        gen.random(out=u[i])
+    return u
+
+
+def _tie_order(x, levels, u, order=None):
+    """``np.lexsort((u, x), axis=1)``, given each value's integer level in
+    its row: ``levels`` (uint64, overwritten) holds the levels of x at the
+    positions ``order``, or in x's own order when ``order`` is None.
+
+    Levels come from :func:`_integer_levels` for an integer row (x less its
+    minimum) and from :func:`_packed_order` for a tied float row (dense
+    ranks in sorted order).  One in-place sort of integer keys: level << 53
+    | u * 2**53 with its low b bits replaced by the position, 2**b >= n.
+    u * 2**53 is an integer, since random() returns multiples of 2**-53.
+    The sorted keys' low bits are the order.  It stands unless two
+    neighbours share their high 64 - b bits (u equal down to the position
+    bits) or a level reaches 2**11 (a float row of more than 2**11 distinct
+    values): those rows take the lexsort.
+    """
+    n = x.shape[1]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    many = levels.max(axis=1) >= 2**11
+    keys = levels
     keys <<= np.uint64(53)
-    keys |= (_take_rows(u, order) * 2.0**53).astype(np.uint64) & ~low
-    keys |= order.view(np.uint64)
+    bits = ((u if order is None else _take_rows(u, order)) * 2.0**53).astype(np.int64)
+    keys |= bits.view(np.uint64) & ~low
+    keys |= np.arange(n, dtype=np.uint64) if order is None else order.view(np.uint64)
     keys.sort(axis=1)
     out = (keys & low).view(np.int64)
-    fallback = (levels >= 2**11) | ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    fallback = many | ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
     if fallback.any():
         out[fallback] = np.lexsort((u[fallback], x[fallback]), axis=1)
     return out
 
 
 def _packed_order(xt):
-    """Each row's argsort order, the rows with ties, and those rows sorted.
+    """Each row's argsort order, the rows with ties, and those rows' dense
+    levels in sorted order (uint64, 0 for the smallest value).
 
     One in-place float sort per block: the keys are xt + 0.0 (which turns
     -0.0 into 0.0) with their low b mantissa bits replaced by the position,
@@ -398,6 +443,8 @@ def _packed_order(xt):
     gathered by that order (the block itself when every row is near): it
     stands if it sorts the row, and a row it does not sort (positions
     inside a bucket follow the row, not the values) takes argsort and sort.
+    Rows of integers less than 2**11 apart never come here: their values
+    give their levels (:func:`_integer_levels`).
     """
     p, n = xt.shape
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -417,18 +464,21 @@ def _packed_order(xt):
     if redo.size:
         order[near[redo]] = np.argsort(rows[redo], axis=1)
         ordered[redo] = np.sort(rows[redo], axis=1)
-    # == also pairs -0.0 with 0.0, which the lexsort treats as a tie
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if tied.all():
-        return order, near, ordered
-    return order, near[tied], ordered[tied]
+    # != keeps -0.0 and 0.0 on one level, as the lexsort ties them
+    steps = ordered[:, 1:] != ordered[:, :-1]
+    tied = ~steps.all(axis=1)
+    if not tied.all():
+        near, steps = near[tied], steps[tied]
+    levels = np.zeros((near.size, n), dtype=np.uint64)
+    np.cumsum(steps, axis=1, out=levels[:, 1:])
+    return order, near, levels
 
 
 def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
     """Statistic of each row of a (columns, n) covariate block against y.
 
     ``xt`` may be any view of the block, a transposed slice of the design
-    included: an untrimmed block is copied only by the key build of
+    included: an untrimmed float block is copied only by the key build of
     :func:`_packed_order`.  ``counts`` is the full response's level table,
     ``words[j]`` row j's tie seed as its four
     :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
@@ -436,11 +486,15 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
     ``default_rng(tie seed)`` state.  ``trim`` is None when c divides n;
     otherwise it holds the block's rows of the trim table of
     :func:`_omegas`: their drops, the raw words those draws used, which a
-    tied row's generator skips, and the kept counts that give r and ``den``.  Rows draw what
-    :func:`arrange_by_covariate` draws, in order, but tie-break keys only
-    for rows with ties; a tie-free row's order is unique, and one float
-    sort of packed keys gives it.  For sorted slice ranks a_(j) the
-    pairwise spread is sum_j (2j - c + 1) a_(j), one sort per slice.
+    row's generator skips before its tie-break keys, and the kept counts
+    that give r and ``den``.  Rows draw what :func:`arrange_by_covariate`
+    draws, in order, but tie-break keys only for rows that use them.  A row
+    of integers less than 2**11 apart (a genotype) draws its keys and takes
+    one integer key sort (:func:`_tie_order`) without the float sort; its
+    keys cannot change the order of such a row without ties.  Other rows
+    take one float sort of packed keys (:func:`_packed_order`), and those
+    with ties then the key sort.  For sorted slice ranks a_(j) the pairwise
+    spread is sum_j (2j - c + 1) a_(j), one sort per slice.
     """
     p, n = xt.shape
     n_eff = H * c
@@ -454,18 +508,20 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
         level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(p, n_eff)
         ranks = _take_rows(trim.at_most, level)
         den = trim.den
-    order, tied, ordered = _packed_order(xt)
+    ints, int_levels = _integer_levels(xt)
+    if not len(ints):
+        order, tied, levels = _packed_order(xt)
+    else:
+        order, tied = np.empty((p, n_eff), dtype=np.int64), ints[:0]
+        if ints.size < p:
+            floats = np.delete(np.arange(p), ints)
+            order[floats], tied, levels = _packed_order(xt[floats])
+            tied = floats[tied]
+        u = _tie_keys(gen, words, trim, ints, n_eff)
+        order[ints] = _tie_order(xt[ints], int_levels, u)
     if tied.size:
-        u = np.empty((tied.size, n_eff))
-        for i, j in enumerate(tied.tolist()):
-            reseed(gen, words[j].tolist())
-            if trim is not None:
-                gen.bit_generator.advance(int(trim.used[j]))
-            gen.random(out=u[i])
-        if tied.size == p:
-            order = _tie_order(xt, order, ordered, u)
-        else:
-            order[tied] = _tie_order(xt[tied], order[tied], ordered, u)
+        u = _tie_keys(gen, words, trim, tied, n_eff)
+        order[tied] = _tie_order(xt[tied], levels, u, order[tied])
     # a shared rank vector takes a plain gather, several times faster
     sliced = ranks[order] if ranks.ndim == 1 else _take_rows(ranks, order)
     w = 2 * np.arange(c, dtype=np.int64) - (c - 1)

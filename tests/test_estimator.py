@@ -20,6 +20,7 @@ from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
     RankCounts,
     _exact_sum,
+    _integer_levels,
     _kept_counts,
     _ndtr,
     _packed_order,
@@ -465,8 +466,14 @@ def test_tie_free_flag():
     assert not rank_counts(np.array([0.0, -0.0, 1.0])).tie_free
 
 
+def dense_levels(ordered):
+    levels = np.zeros(ordered.shape, dtype=np.uint64)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=levels[:, 1:])
+    return levels
+
+
 def packed_order(x, u):
-    return _tie_order(x, np.argsort(x, axis=1), np.sort(x, axis=1), u)
+    return _tie_order(x, dense_levels(np.sort(x, axis=1)), u, np.argsort(x, axis=1))
 
 
 def assert_lexsort_order(x, u):
@@ -503,6 +510,23 @@ class TestTieOrder:
         x[1] = np.round(x[1] / 1000)  # a row with few levels stays packed
         assert_lexsort_order(x, rng.random(x.shape))
 
+    def test_integer_levels_in_place(self):
+        # an integer row's levels are its values less the row minimum, in
+        # the row's own order: no float sort and no gather
+        rng = np.random.default_rng(5)
+        x = np.stack([
+            rng.integers(-7, 3, 1000),
+            np.r_[0, 2047, rng.integers(0, 2048, 998)],
+            rng.permutation(1000) - 500,
+            rng.choice([-0.0, 0.0, 1.0], 1000),
+            2.0**53 + 2 * rng.integers(0, 3, 1000),
+        ]).astype(float)
+        u = rng.random(x.shape)
+        u[4, 1::2] = u[4, ::2]  # equal pairs: the row falls back
+        levels = (x - x.min(axis=1, keepdims=True)).astype(np.uint64)
+        out = _tie_order(x, levels, u)
+        assert np.array_equal(out, np.lexsort((u, x), axis=1))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 40), st.data())
     def test_small_rows(self, rows, n, data):
@@ -513,11 +537,35 @@ class TestTieOrder:
         assert_lexsort_order(x.reshape(rows, n), u.reshape(rows, n))
 
 
+def test_integer_levels_take_integer_rows_under_2_11_apart():
+    rng = np.random.default_rng(6)
+    n = 600
+    rows = {
+        "genotype": rng.binomial(2, 0.3, n),
+        "negative": rng.integers(-9, -2, n),
+        "range 2047": np.r_[-1000, 1047, rng.integers(-1000, 1048, n - 2)],
+        "range 2048": np.r_[0, 2048, rng.integers(0, 2049, n - 2)],
+        "signed zeros": rng.choice([-0.0, 0.0, 2.0], n),
+        "2**53": 2.0**53 + 2 * rng.integers(0, 4, n),
+        "half": np.r_[1.0, 0.5, rng.integers(0, 3, n - 2)],
+        "gaussian": rng.standard_normal(n),
+        "permutation": rng.permutation(n),
+        "extremes": rng.choice([-1e308, 0.0, 1e308], n),  # a range past the largest float
+    }
+    xt = np.stack(list(rows.values())).astype(float)
+    ints, levels = _integer_levels(xt)
+    refused = ("range 2048", "half", "gaussian", "extremes")
+    names = [name for name in rows if name not in refused]
+    assert ints.tolist() == [list(rows).index(name) for name in names]
+    expected = xt[ints] - xt[ints].min(axis=1, keepdims=True)
+    assert levels.dtype == np.uint64 and (levels == expected).all()
+
+
 class TestPackedOrder:
     """One float sort gives each tie-free row its argsort order."""
 
     def check(self, xt):
-        order, tied, ordered = _packed_order(xt)
+        order, tied, levels = _packed_order(xt)
         gathered = np.take_along_axis(xt, order, axis=1)
         assert (gathered[:, 1:] >= gathered[:, :-1]).all()
         has_ties = (gathered[:, 1:] == gathered[:, :-1]).any(axis=1)
@@ -525,7 +573,7 @@ class TestPackedOrder:
         untied = ~has_ties
         assert np.array_equal(order[untied], np.argsort(xt[untied], axis=1))
         if tied.size:
-            assert (ordered == gathered[tied]).all()
+            assert (levels == dense_levels(gathered[tied])).all()
 
     def test_kinds(self):
         rng = np.random.default_rng(4)
@@ -546,6 +594,6 @@ class TestPackedOrder:
 
     def test_signed_zero_pair_is_a_tie(self):
         xt = np.array([[3.0, -0.0, -2.0, 0.0, 1.0]])
-        order, tied, ordered = _packed_order(xt)
+        order, tied, levels = _packed_order(xt)
         assert tied.tolist() == [0]
-        assert ordered.tolist() == [[-2.0, 0.0, 0.0, 1.0, 3.0]]
+        assert levels.tolist() == [[0, 1, 1, 2, 3]]

@@ -472,11 +472,29 @@ def _packed_column(rng, kind, n, c):
     if kind == "exponents":
         signs = rng.choice([-1.0, 1.0], n)
         return signs * rng.uniform(1, 2, n) * 2.0 ** rng.integers(-1070, 1021, n)
+    if kind == "negative-integers":
+        return rng.integers(-40, -3, n).astype(float)
+    if kind in ("range-2047", "range-2048"):
+        # the extremes repeat past any trim, so the kept range is exact: one
+        # below the integer path's cut, one at it
+        x = rng.integers(0, 2048, n)
+        x[:8], x[8:16] = 0, 2047 if kind == "range-2047" else 2048
+        return rng.permutation(x).astype(float) - 1000
+    if kind == "signed-zero-integers":
+        return rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+    if kind == "huge-integers":
+        return 2.0**53 + 2 * rng.integers(0, 4, n).astype(float)
+    if kind == "integer-permutation":
+        return rng.permutation(n).astype(float) - n // 2
+    if kind == "gaussian":
+        return rng.standard_normal(n)
     return rng.binomial(2, rng.uniform(0.05, 0.5), n).astype(float)  # genotype
 
 
 PACKED_KINDS = ("ulp-run", "negative-ulp-run", "mixed-ulp-run", "signed-zero-pair",
-                "tiny", "subnormal", "exponents", "genotype")
+                "tiny", "subnormal", "exponents", "genotype", "negative-integers",
+                "range-2047", "range-2048", "signed-zero-integers", "huge-integers",
+                "integer-permutation", "gaussian")
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -501,6 +519,24 @@ def test_packed_order_on_adversarial_columns(k, plus_one, c, master, tied_y):
     for j in range(data.p):
         column = SliceConfig(c=c, tie_seed=derive_seed(master, j))
         assert result.omega[j] == oracle_estimate(PairedSample(x[:, j], y), column)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(5, 7), st.booleans(), st.sampled_from([2, 3, 4, 8]),
+       st.integers(0, 2**32 - 1))
+def test_single_columns_of_every_packed_kind_match_the_oracle(k, plus_one, c, master):
+    # integer columns and float columns share a block in a screen but not
+    # alone: each column's sliced_estimate must give the screen's bits
+    n = 2**k + plus_one
+    rng = np.random.default_rng(master)
+    x = np.column_stack([_packed_column(rng, kind, n, c) for kind in PACKED_KINDS])
+    y = rng.integers(0, 5, n).astype(float)
+    result = screen_all(Dataset(x, y), SliceConfig(c=c, tie_seed=master), threads=2)
+    for j in range(x.shape[1]):
+        sample = PairedSample(x[:, j], y)
+        column = SliceConfig(c=c, tie_seed=derive_seed(master, j))
+        single = sliced_estimate(sample, column, calibration=result.calibration)
+        assert single.omega_hat == result.omega[j] == oracle_estimate(sample, column)
 
 
 def test_level_table_follows_the_datasets_own_response():
