@@ -12,21 +12,27 @@ Three workloads, each timed at one and at two threads (c = 32):
   tied and trimmed, with a tied response (the plug-in calibration).
 
 Every measurement is one child process: it makes the data from --seed,
-screens once to warm up, then times --calls calls.  The children of all
-configurations alternate, --rounds times over.  With --baseline, the src/
-directory of a second checkout is timed too, each of its children next to
-the matching child of this checkout, so the two can be compared pair by
-pair.  The medians and interquartile ranges of the pooled calls, each
-round's median and the machine (nproc, CPU model, load average, numpy
-version) go to --output as JSON.
+screens once to warm up, then times --calls calls, and records the minor
+page faults of each call (``getrusage(RUSAGE_SELF).ru_minflt``) beside its
+time.  With --baseline, the child imports the package of a second
+checkout's src/ directory under its own name as well, and alternates the
+two within the child: call i of one tree runs next to call i of the other,
+which goes first on even calls and second on odd ones.  So both trees see
+the same machine load, and each pair gives one ratio, change over
+baseline.  The children of all configurations alternate, --rounds times
+over.  The medians and interquartile ranges of the pooled calls and
+faults, each round's median, the paired ratios and the machine (nproc,
+CPU model, load average, numpy version) go to --output as JSON.
 
     python3 scripts/bench_screen.py --rounds 3 --calls 5 --output BENCH_screen.json
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -38,45 +44,65 @@ WORKLOADS = ("wide_gaussian", "trimmed_gaussian", "genotypes")
 THREADS = (1, 2)
 
 
-def make_data(workload, seed):
-    import numpy as np
+def load_package(src, alias):
+    """The sitscreen package under ``src``, imported under the name ``alias``."""
+    root = Path(src) / "sitscreen"
+    spec = importlib.util.spec_from_file_location(
+        alias, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    return package
 
-    from sitscreen import Dataset
+
+def make_data(package, workload, seed):
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     if workload.endswith("_gaussian"):
         n = 1024 if workload == "wide_gaussian" else 1000
         x = rng.standard_normal((n, 5000))
-        return Dataset(x, x[:, :10].sum(axis=1) + rng.standard_normal(n))
+        return package.Dataset(x, x[:, :10].sum(axis=1) + rng.standard_normal(n))
     x = rng.binomial(2, rng.uniform(0.05, 0.5, 1000), (1000, 1000)).astype(float)
-    return Dataset(x, np.rint(x[:, :20].sum(axis=1) + rng.standard_normal(1000)))
+    return package.Dataset(x, np.rint(x[:, :20].sum(axis=1) + rng.standard_normal(1000)))
 
 
-def child(workload, threads, calls, seed):
-    """Time ``calls`` screens in this process; print the seconds as JSON."""
-    from sitscreen import SliceConfig, screen_all
+def child(srcs, workload, threads, calls, seed):
+    """Time ``calls`` screens of each tree in this process, the trees taking
+    turns; print each tree's seconds and minor faults per call as JSON."""
+    packages = [load_package(src, f"sitscreen_tree{i}") for i, src in enumerate(srcs)]
+    runs = []
+    for package in packages:
+        data = make_data(package, workload, seed)
+        config = package.SliceConfig(c=32, tie_seed=seed)
+        package.screen_all(data, config, threads=threads)
+        runs.append((package.screen_all, data, config))
+    times = [[] for _ in runs]
+    faults = [[] for _ in runs]
+    for call in range(calls):
+        turn = range(len(runs)) if call % 2 == 0 else reversed(range(len(runs)))
+        for i in turn:
+            screen, data, config = runs[i]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            started = time.perf_counter()
+            screen(data, config, threads=threads)
+            times[i].append(time.perf_counter() - started)
+            faults[i].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(json.dumps({"times": times, "faults": faults}))
 
-    data, config = make_data(workload, seed), SliceConfig(c=32, tie_seed=seed)
-    screen_all(data, config, threads=threads)
-    times = []
-    for _ in range(calls):
-        started = time.perf_counter()
-        screen_all(data, config, threads=threads)
-        times.append(time.perf_counter() - started)
-    print(json.dumps(times))
 
-
-def run_child(src, workload, threads, calls, seed):
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run_child(srcs, workload, threads, calls, seed):
     argv = [sys.executable, __file__, "--child", workload, str(threads),
-            "--calls", str(calls), "--seed", str(seed)]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            "--calls", str(calls), "--seed", str(seed), "--trees", *map(str, srcs)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def summary(times):
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "iqr_s": q3 - q1}
+def summary(values, unit="s"):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3,
+            f"iqr_{unit}": q3 - q1}
 
 
 def machine():
@@ -111,29 +137,38 @@ def main():
     parser.add_argument("--output", type=Path, default=Path("BENCH_screen.json"))
     parser.add_argument("--child", nargs=2, metavar=("WORKLOAD", "THREADS"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--trees", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        child(args.child[0], int(args.child[1]), args.calls, args.seed)
+        child(args.trees, args.child[0], int(args.child[1]), args.calls, args.seed)
         return
 
     trees = {"src": SRC} | ({"baseline": args.baseline} if args.baseline else {})
     load_before = list(os.getloadavg())
-    times = {(tree, w, t): [] for tree in trees for w in WORKLOADS for t in THREADS}
+    keys = [(w, t) for w in WORKLOADS for t in THREADS]
+    times = {(tree, *key): [] for tree in trees for key in keys}
+    faults = {key: [] for key in times}
     rounds = {key: [] for key in times}
     for _ in range(args.rounds):
-        for workload in WORKLOADS:
-            for threads in THREADS:
-                for tree, src in trees.items():
-                    got = run_child(src, workload, threads, args.calls, args.seed)
-                    times[tree, workload, threads] += got
-                    rounds[tree, workload, threads].append(statistics.median(got))
+        for workload, threads in keys:
+            got = run_child(list(trees.values()), workload, threads, args.calls, args.seed)
+            for tree, tree_times, tree_faults in zip(trees, got["times"], got["faults"]):
+                times[tree, workload, threads] += tree_times
+                faults[tree, workload, threads] += tree_faults
+                rounds[tree, workload, threads].append(statistics.median(tree_times))
     results = {tree: {w: {} for w in WORKLOADS} for tree in trees}
     for (tree, workload, threads), pooled in times.items():
-        row = summary(pooled)
+        row = summary(pooled) | summary(faults[tree, workload, threads], "faults")
         row["round_medians_s"] = rounds[tree, workload, threads]
+        if tree == "src" and args.baseline:
+            ratios = [a / b for a, b in zip(pooled, times["baseline", workload, threads])]
+            row["paired_ratio"] = summary(ratios, "ratio")
+            row["paired_wins"] = sum(r < 1 for r in ratios)
+            row["pairs"] = len(ratios)
         results[tree][workload][str(threads)] = row
         print(f"{tree:8s} {workload:16s} threads={threads} "
-              f"median={row['median_s']:.4f}s iqr={row['iqr_s']:.4f}s")
+              f"median={row['median_s']:.4f}s iqr={row['iqr_s']:.4f}s "
+              f"faults={row['median_faults']:g}")
     record = {
         "machine": machine() | {"load_average_before": load_before},
         "settings": {"rounds": args.rounds, "calls": args.calls, "seed": args.seed,

@@ -15,17 +15,24 @@ the dispersion sum, the statistic is
 
     1 - (n - 1) * num / ((c - 1) * den),
 
-evaluated here as a single correctly rounded division of exact integers.
-Everything depends on orderings alone, so the value is invariant under
-strictly increasing transformations of either variable.
+evaluated here as a single correctly rounded division of exact integers:
+one float64 division when (c - 1) * den and (n - 1) * num are both below
+2**53, so that float64 holds both operands exactly, and Python-int
+division otherwise.  Everything depends on orderings alone, so the value
+is invariant under strictly increasing transformations of either
+variable.
 
 The kernel evaluates a block of covariates at once, and one driver
 (:func:`_omegas`) feeds it the columns of :func:`sliced_estimate` and of
-each ``screen_all`` worker alike.  A column is ordered by one in-place
-sort of integer keys that pack each value's level, its tie-break key and
-its position.  A column of integers less than 2**11 apart (a genotype)
-takes its levels from its values, less the column minimum, and needs no
-other sort.  The other columns take one in-place float sort per block
+each ``screen_all`` worker alike.  Each of its calls allocates one
+workspace (:class:`_Workspace`) that every block reuses: an untrimmed
+block of tie-free float columns writes its keys, order, int32 ranks and
+numerators there and allocates no block-sized array, its slices sorted in
+place and its numerators taken by one ``np.einsum``.  A column is ordered
+by one in-place sort of integer keys that pack each value's level, its
+tie-break key and its position.  A column of integers less than 2**11
+apart (a genotype) takes its levels from its values, less the column
+minimum, and needs no other sort.  The other columns take one in-place float sort per block
 first: each value carries its row position in its low mantissa bits,
 which leaves values in distinct buckets in value order, so a column
 without near neighbours needs nothing more.  Only columns with ties (or
@@ -74,12 +81,19 @@ from .seeding import check_trim_draws, reseed, rng_from_seed, seed_words, trim_d
 FIXED_SIGMA_SQ = 4.0 / 5.0
 # The modes VarianceCalibration.from_counts (and --sigma) takes.
 SIGMA_MODES = ("auto", "fixed", "plugin")
-# Cells per kernel call (16 columns at n = 1024): 128 KB per working array,
-# so each thread's working set stays near 2 MB and peak memory barely moves.
-# Timed at one thread against 2**13 and 2**15 on five shapes: 2**15 sped up
-# trimmed and genotype screens a little more, but slowed untrimmed Gaussian
-# screens (1024 x 1000 and 1024 x 5000) by 30-40%.
-BLOCK_CELLS = 2**14
+# Cells per kernel block (32 columns at n = 1024); every block of a worker
+# reuses one workspace of 16 bytes a cell (512 KB).  2**14 won an earlier
+# timing only because each block then allocated its own temporaries of
+# 128 KB and more, around glibc's mmap threshold: at 2**15 they were mapped
+# and faulted in afresh for every block (20,050 minor faults and 1.3-1.4x
+# the time per 1024 x 5000 screen), and at 2**14 too in some heap states
+# (30,119 faults).  It was the allocator, not the cache.  With the
+# workspace, timed at one thread (medians of 30 calls taking turns in one
+# process; 2**14 / 2**15 / 2**16): 1024 x 5000 Gaussian 0.091 / 0.087 /
+# 0.083 s, trimmed 1000 x 5000 Gaussian 0.211 / 0.194 / 0.197 s, 1000 x 1000
+# genotypes 0.075 / 0.070 / 0.071 s.  2**16 gains little at one thread, and
+# the temporaries of the integer and trimmed paths grow with the block.
+BLOCK_CELLS = 2**15
 # Cells of the kept-count table a trimmed run of columns builds at once
 # (columns x levels, 1 MB of int32).  Its draw holds about a dozen uint64
 # temporaries per column and trimmed row, so it covers at most
@@ -165,8 +179,10 @@ class RankCounts:
 
     @cached_property
     def r(self) -> np.ndarray:
-        """Each observation's right count r_i = #{y_j <= y_i}."""
-        return np.cumsum(self.sizes)[self.level]
+        """Each observation's right count r_i = #{y_j <= y_i}, int32 below
+        2**31 observations."""
+        n = self.level.shape[0]
+        return np.cumsum(self.sizes, dtype=np.int32 if n < 2**31 else np.int64)[self.level]
 
     @cached_property
     def dispersion(self) -> int:
@@ -364,6 +380,16 @@ def _take_rows(a, idx):
     return np.take(a, idx + a.shape[1] * np.arange(a.shape[0])[:, None])
 
 
+def _nearest(keys, xor):
+    """Each row's smallest XOR of neighbouring sorted ``keys`` (uint64),
+    taken through the contiguous buffer ``xor`` of the same shape: one XOR
+    of the flat keys with themselves shifted by one, whose first column
+    pairs the rows' ends and is skipped, then one ``np.minimum.reduce``."""
+    flat = keys.reshape(-1)
+    np.bitwise_xor(flat[1:], flat[:-1], out=xor.reshape(-1)[1:])
+    return np.minimum.reduce(xor[:, 1:], axis=1)
+
+
 def _integer_levels(xt):
     """The rows of ``xt`` whose values are all integers less than 2**11
     apart (their indices, empty if none), and those rows' values less the
@@ -376,12 +402,14 @@ def _integer_levels(xt):
     if not ints:
         return ints, None
     ints = np.array(ints)
-    rows = xt[ints]
+    rows = xt if ints.size == xt.shape[0] else xt[ints]
     lo = rows.min(axis=1, keepdims=True)
     ok = (rows.max(axis=1) < lo[:, 0] + 2**11) & (np.rint(rows) == rows).all(axis=1)
     if not ok.all():
         ints, rows, lo = ints[ok], rows[ok], lo[ok]
-    return ints, (rows - lo).astype(np.int64).view(np.uint64)
+    levels = np.empty(rows.shape, dtype=np.uint64)
+    np.subtract(rows, lo, out=levels, casting="unsafe")
+    return ints, levels
 
 
 def _tie_keys(gen, words, trim, rows, n):
@@ -407,28 +435,60 @@ def _tie_order(x, levels, u, order=None):
     ranks in sorted order).  One in-place sort of integer keys: level << 53
     | u * 2**53 with its low b bits replaced by the position, 2**b >= n.
     u * 2**53 is an integer, since random() returns multiples of 2**-53.
-    The sorted keys' low bits are the order.  It stands unless two
-    neighbours share their high 64 - b bits (u equal down to the position
-    bits) or a level reaches 2**11 (a float row of more than 2**11 distinct
-    values): those rows take the lexsort.
+    The sorted keys' low bits are the order, returned in the ``levels``
+    buffer.  It stands unless two neighbours share their high 64 - b bits
+    (u equal down to the position bits) or a level reaches 2**11 (a float
+    row of more than 2**11 distinct values): those rows take the lexsort.
     """
     n = x.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     many = levels.max(axis=1) >= 2**11
     keys = levels
     keys <<= np.uint64(53)
-    bits = ((u if order is None else _take_rows(u, order)) * 2.0**53).astype(np.int64)
-    keys |= bits.view(np.uint64) & ~low
+    bits = np.empty(keys.shape, dtype=np.uint64)
+    np.multiply(u if order is None else _take_rows(u, order), 2.0**53, out=bits,
+                casting="unsafe")
+    bits &= ~low
+    keys |= bits
     keys |= np.arange(n, dtype=np.uint64) if order is None else order.view(np.uint64)
     keys.sort(axis=1)
-    out = (keys & low).view(np.int64)
-    fallback = many | ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    fallback = many | (_nearest(keys, bits) <= low)
+    keys &= low
+    out = keys.view(np.int64)
     if fallback.any():
         out[fallback] = np.lexsort((u[fallback], x[fallback]), axis=1)
     return out
 
 
-def _packed_order(xt):
+class _Workspace:
+    """The buffers of one kernel block, allocated once per :func:`_omegas`
+    call (so once per ``screen_all`` worker) and reused by every block:
+    at most ``rows`` columns of ``n_eff`` kept rows each, 16 bytes a cell.
+
+    Each of its two block-sized buffers serves twice.  ``keys`` holds the
+    packed float keys, sorted in place, and once the order is read from
+    them, ``ranks``: the gathered rank counts, slice-sorted in place.
+    ``order`` holds the sorted keys' neighbour XOR, then each row's argsort
+    order.  ``num`` takes each row's numerator; ``w`` holds the slice
+    weights 2j - c + 1 and ``pos`` the row positions 0..n_eff - 1.  Ranks,
+    weights and numerators are int32 when n_eff c n < 2**31: ranks are at
+    most n and the weights' magnitudes sum to at most c^2 / 2, so every
+    partial sum of a row's ``num`` is at most n_eff c n / 2 in magnitude
+    and the int32 contraction is exact.  Otherwise they are int64, which
+    ``SliceConfig.slices`` keeps exact.
+    """
+
+    def __init__(self, rows: int, n_eff: int, c: int, n: int):
+        dtype = np.int32 if n_eff * c * n < 2**31 else np.int64
+        self.keys = np.empty((rows, n_eff))
+        self.order = np.empty((rows, n_eff), dtype=np.int64)
+        self.ranks = self.keys.reshape(-1).view(dtype)[: rows * n_eff].reshape(rows, n_eff)
+        self.num = np.empty(rows, dtype=dtype)
+        self.w = (2 * np.arange(c) - (c - 1)).astype(dtype)
+        self.pos = np.arange(n_eff, dtype=np.uint64)
+
+
+def _packed_order(xt, ws: _Workspace | None = None):
     """Each row's argsort order, the rows with ties, and those rows' dense
     levels in sorted order (uint64, 0 for the smallest value).
 
@@ -437,24 +497,31 @@ def _packed_order(xt):
     2**b >= n; ``SliceConfig.slices`` keeps b <= 32, inside the 52-bit
     mantissa.  A finite key stays in its value's bucket, the values sharing
     the high 64 - b bits, and buckets sort as their values do.  So a row whose
-    sorted keys have no two neighbours in one bucket has no ties, and the
-    positions read back are its unique argsort order.  Only the other
-    (``near``) rows, with exact ties or values within 2**b ulps, are
-    gathered by that order (the block itself when every row is near): it
-    stands if it sorts the row, and a row it does not sort (positions
-    inside a bucket follow the row, not the values) takes argsort and sort.
-    Rows of integers less than 2**11 apart never come here: their values
-    give their levels (:func:`_integer_levels`).
+    sorted keys have no two neighbours in one bucket (the smallest XOR of
+    neighbours above ``low``) has no ties, and the positions read back are its
+    unique argsort order.  Only the other (``near``) rows, with exact ties or
+    values within 2**b ulps, are gathered by that order (the block itself when
+    every row is near): it stands if it sorts the row, and a row it does not
+    sort (positions inside a bucket follow the row, not the values) takes
+    argsort and sort.  Rows of integers less than 2**11 apart never come here:
+    their values give their levels (:func:`_integer_levels`).  The keys, the
+    XOR and the order are written into the workspace ``ws`` (a fresh one when
+    None), and the returned order is a view of it.
     """
     p, n = xt.shape
+    if ws is None:
+        ws = _Workspace(p, n, 2, n)
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = np.add(xt, 0.0, order="C")
+    keys = ws.keys[:p]
+    np.copyto(keys, xt)
+    keys += 0.0
     bits = keys.view(np.uint64)
     bits &= ~low
-    bits |= np.arange(n, dtype=np.uint64)
+    bits |= ws.pos
     keys.sort(axis=1)
-    order = (bits & low).view(np.int64)
-    near = np.flatnonzero(((bits[:, 1:] ^ bits[:, :-1]) <= low).any(axis=1))
+    order = ws.order[:p]
+    near = np.flatnonzero(_nearest(bits, order.view(np.uint64)) <= low)
+    np.bitwise_and(bits, low, out=order.view(np.uint64))
     if not near.size:
         return order, near, None
     every = near.size == p
@@ -474,13 +541,48 @@ def _packed_order(xt):
     return order, near, levels
 
 
-def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
-    """Statistic of each row of a (columns, n) covariate block against y.
+def _ratio(num, den, c, n_eff, out) -> None:
+    """omega = ((c - 1) d - (n_eff - 1) num) / ((c - 1) d) of each row, with
+    d its dispersion sum in ``den`` (Python ints), written into ``out``.
+
+    When (c - 1) max(d) and (n_eff - 1) max(num) are both below 2**53, every
+    operand is an integer float64 holds exactly, and so is the difference:
+    one float division then gives the correctly rounded quotient of the
+    exact integers, which is the Python-int quotient.  Otherwise each row
+    takes that quotient in Python ints.
+    """
+    if (c - 1) * max(den) < 2**53 and (n_eff - 1) * int(num.max()) < 2**53:
+        cd = np.array(den, dtype=np.float64) * (c - 1)
+        np.multiply(num, -(n_eff - 1.0), out=out)
+        out += cd
+        out /= cd
+    else:
+        out[:] = [
+            ((c - 1) * d - (n_eff - 1) * s) / ((c - 1) * d)
+            for s, d in zip(num.tolist(), den)
+        ]
+
+
+def _kept(xt, counts: RankCounts, trim, n_eff):
+    """Each row's kept values and their rank counts r, in row order, as two
+    (rows, n_eff) arrays: the values less the row's drops, and for each
+    kept value the cumulative kept size at its response level."""
+    p, n = xt.shape
+    keep = np.ones((p, n), dtype=bool)
+    keep[np.arange(p)[:, None], trim.drops] = False
+    level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(p, n_eff)
+    level += trim.at_most.shape[1] * np.arange(p)[:, None]
+    return xt[keep].reshape(p, n_eff), np.take(trim.at_most, level)
+
+
+def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim, ws, out) -> None:
+    """Statistic of each row of a (columns, n) covariate block against y,
+    written into ``out``.
 
     ``xt`` may be any view of the block, a transposed slice of the design
-    included: an untrimmed float block is copied only by the key build of
-    :func:`_packed_order`.  ``counts`` is the full response's level table,
-    ``words[j]`` row j's tie seed as its four
+    included: an untrimmed float block is copied only into the workspace's
+    keys by :func:`_packed_order`.  ``counts`` is the full response's level
+    table, ``words[j]`` row j's tie seed as its four
     :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
     that :func:`~sitscreen.seeding.reseed` puts in each row's
     ``default_rng(tie seed)`` state.  ``trim`` is None when c divides n;
@@ -493,43 +595,52 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim) -> list[float]:
     one integer key sort (:func:`_tie_order`) without the float sort; its
     keys cannot change the order of such a row without ties.  Other rows
     take one float sort of packed keys (:func:`_packed_order`), and those
-    with ties then the key sort.  For sorted slice ranks a_(j) the pairwise
-    spread is sum_j (2j - c + 1) a_(j), one sort per slice.
+    with ties then the key sort.
+
+    An untrimmed block of tie-free float rows, the common case, works in the
+    workspace ``ws`` alone: keys, XOR and order as above, then the ranks
+    gathered by ``np.take`` into ``ws.ranks`` (int32 below the bound of
+    :class:`_Workspace`), each slice sorted in place, and for sorted slice
+    ranks a_(j) the pairwise spread sum_j (2j - c + 1) a_(j) as one
+    ``np.einsum`` into ``ws.num``.  Near, tied, integer and trimmed rows
+    still allocate their own temporaries.  The ratio is one float division
+    while its operands stay below 2**53 (:func:`_ratio`).
     """
     p, n = xt.shape
     n_eff = H * c
     if trim is None:
-        ranks = counts.r
-        den = [counts.dispersion] * p
+        ranks, den = counts.r, [counts.dispersion] * p
     else:
-        keep = np.ones((p, n), dtype=bool)
-        keep[np.arange(p)[:, None], trim.drops] = False
-        xt = xt[keep].reshape(p, n_eff)
-        level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(p, n_eff)
-        ranks = _take_rows(trim.at_most, level)
+        xt, ranks = _kept(xt, counts, trim, n_eff)
         den = trim.den
     ints, int_levels = _integer_levels(xt)
     if not len(ints):
-        order, tied, levels = _packed_order(xt)
+        order, tied, levels = _packed_order(xt, ws)
+    elif ints.size == p:
+        u = _tie_keys(gen, words, trim, ints, n_eff)
+        order, tied = _tie_order(xt, int_levels, u), ints[:0]
     else:
         order, tied = np.empty((p, n_eff), dtype=np.int64), ints[:0]
-        if ints.size < p:
-            floats = np.delete(np.arange(p), ints)
-            order[floats], tied, levels = _packed_order(xt[floats])
-            tied = floats[tied]
+        floats = np.delete(np.arange(p), ints)
+        order[floats], tied, levels = _packed_order(xt[floats], ws)
+        tied = floats[tied]
         u = _tie_keys(gen, words, trim, ints, n_eff)
         order[ints] = _tie_order(xt[ints], int_levels, u)
     if tied.size:
         u = _tie_keys(gen, words, trim, tied, n_eff)
         order[tied] = _tie_order(xt[tied], levels, u, order[tied])
-    # a shared rank vector takes a plain gather, several times faster
-    sliced = ranks[order] if ranks.ndim == 1 else _take_rows(ranks, order)
-    w = 2 * np.arange(c, dtype=np.int64) - (c - 1)
-    num = (np.sort(sliced.reshape(p, H, c), axis=2) @ w).sum(axis=1)
+    sliced = ws.ranks[:p]
+    if ranks.ndim == 2:
+        order += n_eff * np.arange(p)[:, None]  # flat indices of the kept ranks
+    if ranks.dtype == sliced.dtype:
+        np.take(ranks, order, out=sliced, mode="clip")  # every index is in range
+    else:
+        sliced[...] = np.take(ranks, order)
+    slices = sliced.reshape(p, H, c)
+    slices.sort(axis=2)
+    num = np.einsum("phc,c->p", slices, ws.w, out=ws.num[:p])
     # exact integers and one final rounding, as in the brute-force reference
-    return [
-        ((c - 1) * d - (n_eff - 1) * int(s)) / ((c - 1) * d) for s, d in zip(num, den)
-    ]
+    _ratio(num, den, c, n_eff, out)
 
 
 def _omegas(x, counts: RankCounts, words, c, H, start, stop) -> np.ndarray:
@@ -537,17 +648,20 @@ def _omegas(x, counts: RankCounts, words, c, H, start, stop) -> np.ndarray:
     k seeded by ``words[k]`` (its :func:`~sitscreen.seeding.seed_words`).
 
     The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
-    time, each block a transposed view of ``x``.  When c does not divide n,
-    the trims of a span of blocks are drawn and their kept counts built in
-    one table of up to TABLE_CELLS // max(levels, 16 * trimmed rows)
-    columns.  Blocks and spans only group the work: each column's value is
-    what it gives alone.
+    time, each block a transposed view of ``x``, and every block reuses one
+    :class:`_Workspace` (int32 ranks, 16 bytes a cell), allocated here for
+    the call, and every ratio is one float division below the 2**53 guard
+    of :func:`_ratio`.  When c does not divide n, the trims of a span of
+    blocks are drawn and their kept counts built in one table of up to
+    TABLE_CELLS // max(levels, 16 * trimmed rows) columns.  Blocks and spans
+    only group the work: each column's value is what it gives alone.
     """
     n, n_eff = x.shape[0], H * c
     step = max(1, BLOCK_CELLS // n)
     width = max(counts.sizes.shape[0], 16 * (n - n_eff))
     span = step * max(1, TABLE_CELLS // (step * width))
     gen = rng_from_seed(0)  # reseeded for every tied column
+    ws = _Workspace(min(step, stop - start), n_eff, c, n)
     out = np.empty(stop - start, dtype=np.float64)
     for first in range(start, stop, span):
         last = min(first + span, stop)
@@ -562,8 +676,9 @@ def _omegas(x, counts: RankCounts, words, c, H, start, stop) -> np.ndarray:
         for lo in range(first, last, step):
             hi = min(lo + step, last)
             part = trim.rows(lo - first, hi - first) if trim else None
-            out[lo - start : hi - start] = _omega_block(
-                x[:, lo:hi].T, counts, words[lo:hi], gen, c, H, part
+            _omega_block(
+                x[:, lo:hi].T, counts, words[lo:hi], gen, c, H, part, ws,
+                out[lo - start : hi - start],
             )
     return out
 

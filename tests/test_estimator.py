@@ -24,6 +24,7 @@ from sitscreen.estimator import (
     _kept_counts,
     _ndtr,
     _packed_order,
+    _ratio,
     _tie_order,
     arrange_by_covariate,
     auto_calibration,
@@ -216,7 +217,6 @@ class TestPluginCalibration:
         assert cal.theta1 == oracle_theta1(y)
         assert cal.sigma_sq == 2.0 * cal.theta1 / cal.theta2**2
 
-    @pytest.mark.parametrize("calibrate", [auto_calibration])
     @pytest.mark.parametrize(
         "y, error",
         [
@@ -228,9 +228,9 @@ class TestPluginCalibration:
         ],
         ids=["empty", "single", "nan", "inf", "2x2"],
     )
-    def test_malformed_response_is_refused(self, calibrate, y, error):
+    def test_malformed_response_is_refused(self, y, error):
         with pytest.raises(error):
-            calibrate(y)
+            auto_calibration(y)
 
     def test_auto_switches_on_ties(self):
         assert auto_calibration(np.array([1.0, 2.0, 3.0, 4.0])).mode == "fixed"
@@ -267,6 +267,23 @@ def test_exact_sum_is_the_python_int_sum(rows):
             sum(u * (v >> shift) * (w >> 32) for u, v, w in zip(mr, ar, b.tolist()))
             for mr, ar in zip(m2.tolist(), a2.tolist())
         ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5000), st.integers(4, 2**31), st.integers(-64, 64),
+       st.integers(-64, 64), st.integers(0, 3))
+def test_float_ratio_is_the_python_int_quotient(c, n_eff, den_off, num_off, shift):
+    # (c - 1) den and (n_eff - 1) num on both sides of the 2**53 guard: below
+    # it one float division, above it the Python-int quotient, the same bits
+    den = max(1, (2**53 + den_off) // (c - 1))
+    num = max(0, (2**53 + num_off) // (n_eff - 1)) >> shift
+    nums = np.array([num, num // 3, 0, 1], dtype=np.int64)
+    dens = [den, den, den - 1 or 1, 1]
+    out = np.empty(nums.shape[0])
+    _ratio(nums, dens, c, n_eff, out)
+    assert out.tolist() == [
+        ((c - 1) * d - (n_eff - 1) * s) / ((c - 1) * d) for s, d in zip(nums.tolist(), dens)
+    ]
 
 
 def literal_counts(y):

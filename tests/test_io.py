@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sitscreen import io
+from sitscreen.cli import main
 from sitscreen.errors import (
     EmptyData,
     MissingResponse,
@@ -163,6 +164,35 @@ def test_wide_file_skips_the_scan(tmp_path, monkeypatch):
     data = ingest_csv(write(tmp_path, "\n".join([header, *lines]) + "\n"), "y")
     assert data.x.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
     assert data.y.tobytes() == np.ascontiguousarray(table[:, 0]).tobytes()
+
+
+def test_late_non_finite_cell_is_refused_without_the_scan(tmp_path, monkeypatch, capsys):
+    # the bulk read parses the whole file; its one non-finite cell, in the
+    # last row, is worded as the scan words it and the scan never runs
+    table = np.random.default_rng(7).standard_normal((3000, 40))
+    lines = [",".join(["y"] + [f"x{j}" for j in range(1, 40)])]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in table]
+    lines.insert(1500, "")  # a blank line still counts as a row number
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ", NaN "
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    with mock.patch.object(io, "_bulk_rows", lambda fh, width: None):
+        scanned = _outcome(path)
+    assert scanned == (ParseError, "<path>: row 3002, column 'x39': non-finite value 'NaN'")
+    monkeypatch.setattr(io, "_scan_rows", _scan_refused)
+    assert _outcome(path) == scanned
+    out = str(tmp_path / "report.json")
+    assert main(["screen", "--input", path, "--response", "y", "--output", out]) == 2
+    assert capsys.readouterr().err == f"error: {scanned[1].replace('<path>', path)}\n"
+    assert not os.path.exists(out)
+
+
+def test_a_doubtful_late_refusal_leaves_the_file_to_the_scan(tmp_path):
+    # the bulk table holds a NaN, but an earlier row the bulk read skipped
+    # is one the scan refuses first
+    path = write(tmp_path, "x,y\n1,2\n \n3,nan\n")
+    bulk = np.array([[1.0, 2.0], [3.0, np.nan]])
+    with mock.patch.object(io, "_bulk_rows", lambda fh, width: bulk):
+        assert _outcome(path) == (ParseError, "<path>: row 3 has 1 fields, expected 2")
 
 
 def _outcome(path):

@@ -38,7 +38,7 @@ from sitscreen.screening import (
     minimum_model_size,
     resolve_threads,
 )
-from sitscreen.seeding import check_trim_draws, derive_seed
+from sitscreen.seeding import check_trim_draws, derive_seed, derive_seeds, seed_words
 
 
 def make_result(omega_like, n=64, c=2, seed=0):
@@ -351,6 +351,33 @@ def test_block_kernel_matches_single_column_paths(instance):
         assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
 
 
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("n", [64, 67])  # c = 4 divides 64; 67 trims 3 rows
+@pytest.mark.parametrize("tied_y", [False, True])
+def test_screens_of_whole_and_short_blocks_match_the_oracle(blocks, extra, n, tied_y):
+    # p = k * step - 1, k * step and k * step + 1: a short last block, whole
+    # blocks only, and one column past them, where step is the block width
+    c, master = 4, 17 + blocks + extra
+    step = BLOCK_CELLS // n
+    p = blocks * step + extra
+    rng = np.random.default_rng(master)
+    kinds = rng.choice(["tie-free"] * 6 + ["integers", "signed-zeros"], p)
+    edges = sorted({0, step - 1, step, p - 1} & set(range(p)))
+    kinds[edges] = rng.choice(["tie-free", "integers", "signed-zeros"], len(edges))
+    x = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    y = rng.integers(0, 6, n).astype(float) if tied_y else rng.standard_normal(n)
+    data = Dataset(x, y)
+    config = SliceConfig(c=c, tie_seed=master)
+    result = screen_all(data, config, threads=1)
+    for threads in (2, 8):
+        other = screen_all(data, config, threads=threads)
+        assert other.omega.tobytes() == result.omega.tobytes()
+        assert other.p_values.tobytes() == result.p_values.tobytes()
+    for k in {*edges, *rng.integers(0, p, 6).tolist()}:
+        column = SliceConfig(c=c, tie_seed=derive_seed(master, k))
+        assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
+
+
 def test_tie_detection_decides_the_bits():
     # -0.0 and 0.0 compare equal, so this column's order needs its tie-break
     # keys; for the master picked here the bare argsort order gives
@@ -432,6 +459,27 @@ def test_a_wide_trimmed_screen_of_a_binary_response_draws_in_small_tables():
     finally:
         tracemalloc.stop()
     assert peak < data.x.nbytes / 2
+
+
+def test_tie_free_blocks_work_in_the_workspace():
+    # untrimmed tie-free float blocks allocate no block-sized temporary:
+    # beyond the workspace (16 bytes a cell) only numpy's 64 KB broadcast
+    # buffer and per-column vectors, under one block of int32 ranks
+    rng = np.random.default_rng(16)
+    n, c = 1024, 32
+    step = BLOCK_CELLS // n
+    x = rng.standard_normal((n, 4 * step))
+    counts = rank_counts(rng.standard_normal(n))
+    words = seed_words(derive_seeds(3, x.shape[1]))
+    first = estimator._omegas(x, counts, words, c, n // c, 0, x.shape[1])
+    tracemalloc.start()
+    try:
+        again = estimator._omegas(x, counts, words, c, n // c, 0, x.shape[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.tobytes() == first.tobytes()
+    assert peak < 16 * step * n + 4 * BLOCK_CELLS
 
 
 @pytest.mark.parametrize("at", ["first", "chunk-end", "chunk-start", "last", "response"])
