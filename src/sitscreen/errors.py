@@ -3,9 +3,9 @@
 Every library error derives from :class:`SitScreenError` and carries the CLI
 exit code of its family in ``exit_code``: :class:`InputError` 2 (data files,
 selectors), :class:`DegenerateData` 3 (data the statistic cannot use) and
-:class:`ConfigError` 4 (invalid parameters; also a ``ValueError``).
-:class:`UnsupportedNumpy` keeps the base class's 4.  The CLI maps an
-``OSError`` to 2; any other exception is a bug and surfaces as one.
+:class:`ConfigError` 4 (invalid parameters; also a ``ValueError``).  The
+CLI maps an ``OSError`` to 2; any other exception is a bug and surfaces as
+one.
 """
 
 
@@ -81,8 +81,3 @@ class NonPositiveThreshold(ConfigError):
 
 class EmptyActiveSet(ConfigError):
     """Minimum model size is undefined for an empty active set."""
-
-
-class UnsupportedNumpy(SitScreenError):
-    """The installed numpy draws differently from the trimming draw the
-    kernel reproduces; the message names its version."""

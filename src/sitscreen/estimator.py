@@ -5,7 +5,7 @@ on a scale where 0 corresponds to independence and 1 to Y being a function
 of X.  It is computed from ranks only:
 
 1. discard n mod c observations at random, order the rest by X (ties
-   broken by a seeded random permutation),
+   broken by seeded random keys, one per row),
 2. cut the ordered sample into H = floor(n / c) slices of c observations,
 3. compare, within each slice, the response ranks r of the slice members,
 4. normalise by the global rank dispersion sum R_i (n - R_i).
@@ -38,14 +38,14 @@ which leaves values in distinct buckets in value order, so a column
 without near neighbours needs nothing more.  Only columns with ties (or
 values within a bucket's width of each other) are gathered and checked,
 and the tied ones take the key sort, their dense ranks as levels.  Only
-the columns that take the key sort draw tie-break keys.  The response is
-sorted once, by one ``np.unique`` into a level table (each observation's
+the columns that take the key sort compute tie-break keys, the counter-based
+keys of :func:`~sitscreen.seeding.tie_keys`, on whole arrays.  The response
+is sorted once, by one ``np.unique`` into a level table (each observation's
 level, each level's size); the kernel's rank counts r and dispersion sums
 and the calibration all follow from it.  Trimmed columns draw their drops
-for many columns at once (:func:`~sitscreen.seeding.trim_draws` reproduces
-numpy's ``choice`` in both of its regimes, Floyd's sampling and the
-partial shuffle), and their kept rank counts come from one table per span
-of blocks.
+for a span of blocks at once (:func:`~sitscreen.seeding.trim_drops`,
+Floyd's sample from the same keys), and their kept rank counts come from
+one table per span.
 
 Under independence of X and Y the scaled statistic
 
@@ -75,7 +75,7 @@ from .errors import (
     InvalidCalibration,
     SampleTooSmall,
 )
-from .seeding import check_trim_draws, reseed, rng_from_seed, seed_words, trim_draws
+from .seeding import tie_key, tie_keys, trim_drops
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
@@ -95,10 +95,10 @@ SIGMA_MODES = ("auto", "fixed", "plugin")
 # the temporaries of the integer and trimmed paths grow with the block.
 BLOCK_CELLS = 2**15
 # Cells of the kept-count table a trimmed run of columns builds at once
-# (columns x levels, 1 MB of int32).  Its draw holds about a dozen uint64
-# temporaries per column and trimmed row, so it covers at most
-# TABLE_CELLS // 16 of those (1.5 MB).  At n = 1000 and c = 32 a tie-free
-# response takes 256 columns per table, a response of 3 levels 2,048.
+# (columns x levels, 1 MB of int32).  Its draw and the sort of its dropped
+# levels hold a few int64 temporaries per column and trimmed row, and it
+# covers at most TABLE_CELLS // 16 of those.  At n = 1000 and c = 32 a
+# tie-free response takes 256 columns per table, a response of 3 levels 2,048.
 TABLE_CELLS = 2**18
 
 
@@ -109,6 +109,7 @@ class SliceConfig:
     Before ordering, ``n mod c`` observations are always discarded, chosen
     uniformly at random from ``tie_seed``; the rest form H = floor(n / c)
     slices (see :meth:`slices`), so the effective sample size is H * c.
+    ``tie_seed`` is an integer in [0, 2**64).
     """
 
     c: int
@@ -117,8 +118,12 @@ class SliceConfig:
     def __post_init__(self):
         if not isinstance(self.c, (int, np.integer)) or self.c < 2:
             raise ConfigError(f"slice size c must be an integer >= 2, got {self.c!r}")
-        if not (0 <= int(self.tie_seed) < 2**64):
-            raise ConfigError("tie_seed must fit in 64 bits")
+        if not isinstance(self.tie_seed, (int, np.integer)) or not (
+            0 <= self.tie_seed < 2**64
+        ):
+            raise ConfigError(
+                f"tie_seed must be an integer in [0, 2**64), got {self.tie_seed!r}"
+            )
 
     def slices(self, n: int) -> int:
         """Slice count H for a sample of size ``n``; refuses fewer than two."""
@@ -280,26 +285,30 @@ class DependenceEstimate:
 def arrange_by_covariate(sample: PairedSample, config: SliceConfig) -> np.ndarray:
     """Trim the sample to a multiple of c and order the response by X.
 
-    Randomness (remainder trimming, then tie-break keys for equal X values)
-    is drawn from ``config.tie_seed`` in that fixed order, so the arrangement
-    is a pure function of (sample, config).  Returns the H * c response
-    values in slice order.
+    All randomness comes from the keys key_s(i) of the tie seed s
+    (:func:`~sitscreen.seeding.tie_key`), taken here as Python ints.  The
+    rem = n mod c dropped rows are Floyd's sample: pick t draws
+    v_t = floor(key_s(n + t) (j_t + 1) / 2**64) from 0..j_t, j_t = n - rem + t,
+    and takes j_t instead when v_t was picked before.  The kept rows are
+    ordered by (x_i, key_s(i)); a column's keys are distinct, so no other
+    tie-break is needed.  Returns the H * c response values in slice order,
+    a pure function of (sample, config).
 
     The brute-force reference uses this arrangement directly, and the fast
-    kernel reproduces it draw for draw: both paths must see the same
+    kernel reproduces it bit for bit: both paths must see the same
     tie-broken ordering for exact-equality checks to be meaningful.
     """
     config.slices(sample.n)  # refuses samples with fewer than two slices
-    rng = rng_from_seed(config.tie_seed)
-    x, y = sample.x, sample.y
-    rem = sample.n % config.c
-    if rem:
-        drop = rng.choice(sample.n, size=rem, replace=False)
-        keep = np.setdiff1d(np.arange(sample.n), drop)
-        x, y = x[keep], y[keep]
-    u = rng.random(x.shape[0])
-    order = np.lexsort((u, x))
-    return y[order]
+    n, s = sample.n, int(config.tie_seed)
+    rem = n % config.c
+    dropped = set()
+    for t in range(rem):
+        j = n - rem + t
+        v = tie_key(s, n + t) * (j + 1) >> 64
+        dropped.add(j if v in dropped else v)
+    kept = [i for i in range(n) if i not in dropped]
+    kept.sort(key=lambda i: (float(sample.x[i]), tie_key(s, i)))
+    return sample.y[kept]
 
 
 def rank_counts(y: np.ndarray) -> RankCounts:
@@ -361,11 +370,10 @@ def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:
 
 
 class _Trim(NamedTuple):
-    """The trimming of a run of columns: each one's dropped rows, the raw
-    PCG64 words its draw used, its cumulative kept level sizes and ``den``."""
+    """The trimming of a run of columns: each one's dropped rows, its
+    cumulative kept level sizes and ``den``."""
 
     drops: np.ndarray
-    used: np.ndarray
     at_most: np.ndarray
     den: list[int]
 
@@ -412,42 +420,39 @@ def _integer_levels(xt):
     return ints, levels
 
 
-def _tie_keys(gen, words, trim, rows, n):
-    """Tie-break keys u of block ``rows``, each drawn as
-    :func:`arrange_by_covariate` draws them: from the row's tie seed
-    (``words``), after the raw words its trim used."""
-    u = np.empty((rows.size, n))
-    for i, j in enumerate(rows.tolist()):
-        reseed(gen, words[j].tolist())
-        if trim is not None:
-            gen.bit_generator.advance(int(trim.used[j]))
-        gen.random(out=u[i])
-    return u
+def _tie_keys(seeds, keep, rows, n):
+    """Tie-break keys of block ``rows``, in row order: key_s(i) of each of
+    the row's n kept rows i, s its tie seed in ``seeds``.  ``keep`` is the
+    block's keep mask, or None when every row is kept."""
+    if keep is None:
+        return tie_keys(seeds[rows, None], np.arange(n))
+    keys = tie_keys(seeds[rows, None], np.arange(keep.shape[1]))
+    return keys[keep[rows]].reshape(rows.size, n)
 
 
-def _tie_order(x, levels, u, order=None):
-    """``np.lexsort((u, x), axis=1)``, given each value's integer level in
+def _tie_order(x, levels, key, order=None):
+    """``np.lexsort((key, x), axis=1)``, given each value's integer level in
     its row: ``levels`` (uint64, overwritten) holds the levels of x at the
     positions ``order``, or in x's own order when ``order`` is None.
 
     Levels come from :func:`_integer_levels` for an integer row (x less its
     minimum) and from :func:`_packed_order` for a tied float row (dense
     ranks in sorted order).  One in-place sort of integer keys: level << 53
-    | u * 2**53 with its low b bits replaced by the position, 2**b >= n.
-    u * 2**53 is an integer, since random() returns multiples of 2**-53.
+    | key >> 11 with its low b bits replaced by the position, 2**b >= n.
     The sorted keys' low bits are the order, returned in the ``levels``
     buffer.  It stands unless two neighbours share their high 64 - b bits
-    (u equal down to the position bits) or a level reaches 2**11 (a float
-    row of more than 2**11 distinct values): those rows take the lexsort.
+    (tie-break keys equal in their top 53 - b bits) or a level reaches
+    2**11 (a float row of more than 2**11 distinct values): those rows take
+    the lexsort.  A row's tie-break keys are distinct, so either way no
+    position decides the order.
     """
     n = x.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     many = levels.max(axis=1) >= 2**11
     keys = levels
     keys <<= np.uint64(53)
-    bits = np.empty(keys.shape, dtype=np.uint64)
-    np.multiply(u if order is None else _take_rows(u, order), 2.0**53, out=bits,
-                casting="unsafe")
+    bits = key.copy() if order is None else _take_rows(key, order)
+    bits >>= np.uint64(11)
     bits &= ~low
     keys |= bits
     keys |= np.arange(n, dtype=np.uint64) if order is None else order.view(np.uint64)
@@ -456,7 +461,7 @@ def _tie_order(x, levels, u, order=None):
     keys &= low
     out = keys.view(np.int64)
     if fallback.any():
-        out[fallback] = np.lexsort((u[fallback], x[fallback]), axis=1)
+        out[fallback] = np.lexsort((key[fallback], x[fallback]), axis=1)
     return out
 
 
@@ -564,38 +569,35 @@ def _ratio(num, den, c, n_eff, out) -> None:
 
 
 def _kept(xt, counts: RankCounts, trim, n_eff):
-    """Each row's kept values and their rank counts r, in row order, as two
-    (rows, n_eff) arrays: the values less the row's drops, and for each
-    kept value the cumulative kept size at its response level."""
+    """Each row's keep mask, kept values and their rank counts r, in row
+    order: the mask without the row's drops, the values less the drops as
+    one (rows, n_eff) array, and for each kept value the cumulative kept
+    size at its response level."""
     p, n = xt.shape
     keep = np.ones((p, n), dtype=bool)
     keep[np.arange(p)[:, None], trim.drops] = False
     level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(p, n_eff)
     level += trim.at_most.shape[1] * np.arange(p)[:, None]
-    return xt[keep].reshape(p, n_eff), np.take(trim.at_most, level)
+    return keep, xt[keep].reshape(p, n_eff), np.take(trim.at_most, level)
 
 
-def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim, ws, out) -> None:
+def _omega_block(xt, counts: RankCounts, seeds, c, H, trim, ws, out) -> None:
     """Statistic of each row of a (columns, n) covariate block against y,
     written into ``out``.
 
     ``xt`` may be any view of the block, a transposed slice of the design
     included: an untrimmed float block is copied only into the workspace's
     keys by :func:`_packed_order`.  ``counts`` is the full response's level
-    table, ``words[j]`` row j's tie seed as its four
-    :func:`~sitscreen.seeding.seed_words`, and ``gen`` one PCG64 generator
-    that :func:`~sitscreen.seeding.reseed` puts in each row's
-    ``default_rng(tie seed)`` state.  ``trim`` is None when c divides n;
-    otherwise it holds the block's rows of the trim table of
-    :func:`_omegas`: their drops, the raw words those draws used, which a
-    row's generator skips before its tie-break keys, and the kept counts
-    that give r and ``den``.  Rows draw what :func:`arrange_by_covariate`
-    draws, in order, but tie-break keys only for rows that use them.  A row
-    of integers less than 2**11 apart (a genotype) draws its keys and takes
-    one integer key sort (:func:`_tie_order`) without the float sort; its
-    keys cannot change the order of such a row without ties.  Other rows
-    take one float sort of packed keys (:func:`_packed_order`), and those
-    with ties then the key sort.
+    table and ``seeds[j]`` row j's tie seed.  ``trim`` is None when c
+    divides n; otherwise it holds the block's rows of the trim table of
+    :func:`_omegas`: their drops, and the kept counts that give r and
+    ``den``.  Rows take the keys :func:`arrange_by_covariate` takes, but
+    tie-break keys only when they use them (:func:`_tie_keys`).  A row of
+    integers less than 2**11 apart (a genotype) takes its keys and one
+    integer key sort (:func:`_tie_order`) without the float sort; its keys
+    cannot change the order of such a row without ties.  Other rows take
+    one float sort of packed keys (:func:`_packed_order`), and those with
+    ties then the key sort.
 
     An untrimmed block of tie-free float rows, the common case, works in the
     workspace ``ws`` alone: keys, XOR and order as above, then the ranks
@@ -608,27 +610,28 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim, ws, out) -> Non
     """
     p, n = xt.shape
     n_eff = H * c
+    keep = None
     if trim is None:
         ranks, den = counts.r, [counts.dispersion] * p
     else:
-        xt, ranks = _kept(xt, counts, trim, n_eff)
+        keep, xt, ranks = _kept(xt, counts, trim, n_eff)
         den = trim.den
     ints, int_levels = _integer_levels(xt)
     if not len(ints):
         order, tied, levels = _packed_order(xt, ws)
     elif ints.size == p:
-        u = _tie_keys(gen, words, trim, ints, n_eff)
-        order, tied = _tie_order(xt, int_levels, u), ints[:0]
+        key = _tie_keys(seeds, keep, ints, n_eff)
+        order, tied = _tie_order(xt, int_levels, key), ints[:0]
     else:
         order, tied = np.empty((p, n_eff), dtype=np.int64), ints[:0]
         floats = np.delete(np.arange(p), ints)
         order[floats], tied, levels = _packed_order(xt[floats], ws)
         tied = floats[tied]
-        u = _tie_keys(gen, words, trim, ints, n_eff)
-        order[ints] = _tie_order(xt[ints], int_levels, u)
+        key = _tie_keys(seeds, keep, ints, n_eff)
+        order[ints] = _tie_order(xt[ints], int_levels, key)
     if tied.size:
-        u = _tie_keys(gen, words, trim, tied, n_eff)
-        order[tied] = _tie_order(xt[tied], levels, u, order[tied])
+        key = _tie_keys(seeds, keep, tied, n_eff)
+        order[tied] = _tie_order(xt[tied], levels, key, order[tied])
     sliced = ws.ranks[:p]
     if ranks.ndim == 2:
         order += n_eff * np.arange(p)[:, None]  # flat indices of the kept ranks
@@ -643,41 +646,40 @@ def _omega_block(xt, counts: RankCounts, words, gen, c, H, trim, ws, out) -> Non
     _ratio(num, den, c, n_eff, out)
 
 
-def _omegas(x, counts: RankCounts, words, c, H, start, stop) -> np.ndarray:
+def _omegas(x, counts: RankCounts, seeds, c, H, start, stop) -> np.ndarray:
     """Statistic of columns ``start:stop`` of the (n, p) design ``x``, column
-    k seeded by ``words[k]`` (its :func:`~sitscreen.seeding.seed_words`).
+    k with the tie seed ``seeds[k]`` (a uint64 array).
 
     The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
     time, each block a transposed view of ``x``, and every block reuses one
     :class:`_Workspace` (int32 ranks, 16 bytes a cell), allocated here for
     the call, and every ratio is one float division below the 2**53 guard
     of :func:`_ratio`.  When c does not divide n, the trims of a span of
-    blocks are drawn and their kept counts built in one table of up to
-    TABLE_CELLS // max(levels, 16 * trimmed rows) columns.  Blocks and spans
-    only group the work: each column's value is what it gives alone.
+    blocks are drawn (:func:`~sitscreen.seeding.trim_drops`) and their kept
+    counts built in one table of up to TABLE_CELLS // max(levels, 16 *
+    trimmed rows) columns.  Blocks and spans only group the work: each
+    column's value is what it gives alone.
     """
     n, n_eff = x.shape[0], H * c
     step = max(1, BLOCK_CELLS // n)
     width = max(counts.sizes.shape[0], 16 * (n - n_eff))
     span = step * max(1, TABLE_CELLS // (step * width))
-    gen = rng_from_seed(0)  # reseeded for every tied column
     ws = _Workspace(min(step, stop - start), n_eff, c, n)
     out = np.empty(stop - start, dtype=np.float64)
     for first in range(start, stop, span):
         last = min(first + span, stop)
         trim = None
         if n_eff < n:
-            check_trim_draws()
-            drops, used = trim_draws(words[first:last], n, n - n_eff)
+            drops = trim_drops(seeds[first:last], n, n - n_eff)
             at_most, den = _kept_counts(counts, drops, n_eff)
             if 0 in den:
                 raise DegenerateResponse("response is constant after trimming")
-            trim = _Trim(drops, used, at_most, den)
+            trim = _Trim(drops, at_most, den)
         for lo in range(first, last, step):
             hi = min(lo + step, last)
             part = trim.rows(lo - first, hi - first) if trim else None
             _omega_block(
-                x[:, lo:hi].T, counts, words[lo:hi], gen, c, H, part, ws,
+                x[:, lo:hi].T, counts, seeds[lo:hi], c, H, part, ws,
                 out[lo - start : hi - start],
             )
     return out
@@ -698,8 +700,8 @@ def sliced_estimate(
     counts = rank_counts(sample.y)
     if calibration is None:
         calibration = VarianceCalibration.from_counts(counts)
-    words = seed_words([config.tie_seed])
-    (value,) = _omegas(sample.x[:, None], counts, words, c, H, 0, 1).tolist()
+    seeds = np.array([config.tie_seed], dtype=np.uint64)
+    (value,) = _omegas(sample.x[:, None], counts, seeds, c, H, 0, 1).tolist()
     z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
         omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c

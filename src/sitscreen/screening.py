@@ -9,11 +9,11 @@ studies and the stability check.
 Every column is cut into the H slices of ``SliceConfig.slices``, the one
 row floor.  Each worker hands its span of columns to the statistic's one
 column driver (``estimator._omegas``), which walks them in kernel blocks.
-Column k's trimming and tie-break randomness comes from the seed
-hash(master_seed, k), drawn only when the column needs it (trimming, or
-ties among its values), so results are identical for any worker count and
-any chunking of the columns.  All p seeds are hashed in one batched call
-per screen.
+Column k's trimming and tie-break randomness comes from the counter-based
+keys of the seed hash(master_seed, k) (:func:`~sitscreen.seeding.tie_keys`),
+computed only when the column needs them (trimming, or ties among its
+values), so results are identical for any worker count and any chunking of
+the columns.  All p seeds are hashed in one batched call per screen.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .estimator import (
     rank_counts,
     z_statistic,
 )
-from .seeding import derive_seeds, rng_from_seed, seed_words
+from .seeding import derive_seeds, rng_from_seed
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 
@@ -170,10 +170,10 @@ def screen_all(
     if not (x[1] != x[0]).any() and np.all(x == x[0:1, :]):
         raise AllColumnsConstant("every covariate column is constant")
     p = data.p
-    words = seed_words(derive_seeds(config.tie_seed, p))
+    seeds = derive_seeds(config.tie_seed, p)
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        work = partial(_omegas, x, counts, words, c, H)
+        work = partial(_omegas, x, counts, seeds, c, H)
         omega = np.concatenate(list(pool.map(work, bounds[:-1], bounds[1:])))
 
     z = z_statistic(omega, H * c, c, calibration)

@@ -33,6 +33,7 @@ from sitscreen.estimator import (
     z_statistic,
 )
 from sitscreen.oracle import oracle_theta1
+from sitscreen.seeding import trim_drops
 
 
 def estimate_value(x, y, c, seed=0):
@@ -75,6 +76,13 @@ class TestValidation:
     def test_bad_slice_size(self):
         with pytest.raises(ConfigError):
             SliceConfig(c=1)
+
+    @pytest.mark.parametrize("seed", [0.5, "3", 2.0, -1, 2**64])
+    def test_tie_seed_must_be_an_integer_in_64_bits(self, seed):
+        with pytest.raises(ConfigError, match="tie_seed must be an integer") as raised:
+            SliceConfig(c=4, tie_seed=seed)
+        assert raised.value.exit_code == 4
+        assert SliceConfig(c=4, tie_seed=np.uint64(2**64 - 1)).tie_seed == 2**64 - 1
 
     def test_spread_sum_bound(self):
         # n_effective * c * n is exactly 2**64 here; nothing is allocated
@@ -459,7 +467,8 @@ def test_kept_dispersion_from_level_drop_counts(n, rows, data):
 def test_response_constant_after_trimming_raises():
     # the one larger response value is the row that trimming drops
     y = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
-    seed = next(s for s in range(100) if np.random.default_rng(s).choice(5, 1)[0] == 4)
+    drops = trim_drops(np.arange(100, dtype=np.uint64), 5, 1)[:, 0]
+    seed = int(np.flatnonzero(drops == 4)[0])
     with pytest.raises(DegenerateResponse, match="after trimming"):
         sliced_estimate(PairedSample(np.arange(5.0), y), SliceConfig(2, tie_seed=seed))
 
@@ -489,8 +498,15 @@ def dense_levels(ordered):
     return levels
 
 
+def tie_keys_of(u):
+    """uint64 tie-break keys u * 2**64, which order and tie as the
+    multiples of 2**-53 in u do."""
+    return (u * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
 def packed_order(x, u):
-    return _tie_order(x, dense_levels(np.sort(x, axis=1)), u, np.argsort(x, axis=1))
+    levels = dense_levels(np.sort(x, axis=1))
+    return _tie_order(x, levels, tie_keys_of(u), np.argsort(x, axis=1))
 
 
 def assert_lexsort_order(x, u):
@@ -541,7 +557,7 @@ class TestTieOrder:
         u = rng.random(x.shape)
         u[4, 1::2] = u[4, ::2]  # equal pairs: the row falls back
         levels = (x - x.min(axis=1, keepdims=True)).astype(np.uint64)
-        out = _tie_order(x, levels, u)
+        out = _tie_order(x, levels, tie_keys_of(u))
         assert np.array_equal(out, np.lexsort((u, x), axis=1))
 
     @settings(max_examples=60, deadline=None)

@@ -38,7 +38,7 @@ from sitscreen.screening import (
     minimum_model_size,
     resolve_threads,
 )
-from sitscreen.seeding import check_trim_draws, derive_seed, derive_seeds, seed_words
+from sitscreen.seeding import derive_seed, derive_seeds
 
 
 def make_result(omega_like, n=64, c=2, seed=0):
@@ -405,7 +405,6 @@ def test_trimmed_tied_screen_calls_no_choice(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.binomial(2, 0.3, (101, 40)).astype(float)  # every column tied
     y = rng.integers(0, 4, 101).astype(float)
-    check_trim_draws()  # the once-per-process check runs Generator.choice
     calls = []
 
     class Counting(np.random.Generator):
@@ -470,11 +469,11 @@ def test_tie_free_blocks_work_in_the_workspace():
     step = BLOCK_CELLS // n
     x = rng.standard_normal((n, 4 * step))
     counts = rank_counts(rng.standard_normal(n))
-    words = seed_words(derive_seeds(3, x.shape[1]))
-    first = estimator._omegas(x, counts, words, c, n // c, 0, x.shape[1])
+    seeds = derive_seeds(3, x.shape[1])
+    first = estimator._omegas(x, counts, seeds, c, n // c, 0, x.shape[1])
     tracemalloc.start()
     try:
-        again = estimator._omegas(x, counts, words, c, n // c, 0, x.shape[1])
+        again = estimator._omegas(x, counts, seeds, c, n // c, 0, x.shape[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,23 +1,18 @@
-"""The batched seeding path equals numpy's SeedSequence and default_rng,
-compared as uint64 bits, and the vectorised trimming draw equals
-``Generator.choice``."""
+"""The batched seed hash equals numpy's SeedSequence, compared as uint64
+bits; the vectorised tie-break keys equal SplitMix64, the trimming draw
+equals a literal Floyd's sample, and both are uniform."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sitscreen import seeding
-from sitscreen.errors import ConfigError, UnsupportedNumpy
-from sitscreen.seeding import (
-    check_trim_draws,
-    derive_seed,
-    derive_seeds,
-    reseed,
-    rng_from_seed,
-    seed_words,
-    trim_draws,
-)
+from sitscreen import estimator
+from sitscreen.errors import ConfigError
+from sitscreen.seeding import derive_seed, derive_seeds, tie_keys, trim_drops
 
 EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
 seeds64 = st.one_of(
@@ -51,118 +46,99 @@ def test_derive_seeds_refuses_a_master_outside_64_bits():
             derive_seeds(master, 3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(seeds64, min_size=1, max_size=12))
-@example([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-def test_seed_words_equal_seed_sequence(seeds):
-    words = seed_words(np.array(seeds, dtype=np.uint64))
-    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-    for s, row in zip(seeds, words):
-        expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
-        assert row.tobytes() == expected.tobytes()
+MASK64 = 2**64 - 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(seeds64, min_size=1, max_size=6),
-    st.integers(2, 300),
-    st.data(),
+def splitmix64(seed):
+    """SplitMix64 as a generator of Python ints (Steele, Lea & Flood 2014)."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        yield z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_tie_keys_equal_splitmix64(seed):
+    # from 2**64 - 1 the counter wraps at the first key
+    expected = list(itertools.islice(splitmix64(seed), 300))
+    assert tie_keys(np.uint64(seed), np.arange(300)).tolist() == expected
+    rows = np.array([[299, 0, 7], [1, 1, 2]])
+    got = tie_keys(np.array([[seed], [seed]], dtype=np.uint64), rows)
+    assert got.tolist() == [[expected[i] for i in row] for row in rows.tolist()]
+    assert got.dtype == np.uint64
+
+
+def floyd(seed, n, rem):
+    """Floyd's sample of rem of range(n) from a set, one pick at a time,
+    from SplitMix64's outputs n..n + rem - 1 (its state jumped n steps)."""
+    keys = list(itertools.islice(splitmix64(seed + n * 0x9E3779B97F4A7C15 & MASK64), rem))
+    picked = set()
+    order = []
+    for t, j in enumerate(range(n - rem, n)):
+        v = keys[t] * (j + 1) >> 64
+        order.append(j if v in picked else v)
+        picked.add(order[-1])
+    return order
+
+
+@pytest.mark.parametrize(
+    "n, rem", [(7, 3), (1000, 8), (1023, 31), (10_499, 299), (2**31 + 7, 3)]
 )
-def test_reseeded_generator_draws_like_default_rng(seeds, n, data):
-    # one generator serves every seed in turn, as one worker's does
-    gen = rng_from_seed(0)
-    for s, words in zip(seeds, seed_words(np.array(seeds, dtype=np.uint64)).tolist()):
-        rem = data.draw(st.integers(0, n - 1))
-        reference = np.random.default_rng(s)
-        reseed(gen, words)
-        assert gen.bit_generator.state == reference.bit_generator.state
-        drop = gen.choice(n, size=rem, replace=False)
-        assert drop.tobytes() == reference.choice(n, size=rem, replace=False).tobytes()
-        assert gen.random(n - rem).tobytes() == reference.random(n - rem).tobytes()
-
-
-def assert_draws_like_choice(seeds, n, rem):
-    drops, used = trim_draws(seed_words(np.array(seeds, dtype=np.uint64)), n, rem)
+def test_trim_drops_equal_a_literal_floyd(n, rem):
+    seeds = [0, 1, 2**63, 2**64 - 1, *range(2, 14)]
+    drops = trim_drops(np.array(seeds, dtype=np.uint64), n, rem)
     assert drops.shape == (len(seeds), rem) and drops.dtype == np.int64
-    for s, row, skip in zip(seeds, drops, used.tolist()):
-        reference = np.random.default_rng(s)
-        assert row.tolist() == reference.choice(n, size=rem, replace=False).tolist()
-        advanced = np.random.default_rng(s)
-        advanced.bit_generator.advance(skip)
-        assert advanced.random(8).tobytes() == reference.random(8).tobytes()
+    assert drops.tolist() == [floyd(s, n, rem) for s in seeds]
 
 
-# Floyd's regime small and large; the partial shuffle (n > 10,000 and
-# rem > n // 50); bounds near 2**31, where Lemire rejects about half the time.
-DRAW_SIZES = st.one_of(
-    st.integers(3, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
-    st.tuples(st.integers(301, 10_000), st.integers(1, 300)),
-    st.integers(10_001, 30_000).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(n // 50 + 1, n // 50 + 40))
-    ),
-    st.tuples(st.integers(2**31 - 50, 2**31 + 2**30), st.integers(1, 12)),
-)
+# chi-squared with 34 and 23 degrees of freedom: scipy.stats.chi2.ppf(0.999, df)
+CHI2_999 = {34: 65.2471, 23: 49.7282}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(seeds64, min_size=1, max_size=40), DRAW_SIZES)
-@example(seeds=[0, 2**64 - 1] * 10, sizes=(1000, 1))
-@example(seeds=[0, 2**64 - 1] * 10, sizes=(2**31 + 2**30, 3))
-@example(seeds=[0, 2**64 - 1], sizes=(10_499, 299))
-@example(seeds=[0, 2**64 - 1] * 10, sizes=(10_499, 299))
-@example(seeds=list(range(20)), sizes=(10_001, 5_000))
-@example(seeds=list(range(20)), sizes=(10, 9))
-def test_trim_draws_equal_choice(seeds, sizes):
-    # in Floyd's regime 16 rows or more take the array path; fewer rows and
-    # the partial shuffle take numpy's draw, whose word count must be right
-    assert_draws_like_choice(seeds, *sizes)
+def chi_squared(counts, total):
+    expected = total / len(counts)
+    return sum((k - expected) ** 2 / expected for k in counts)
 
 
-@pytest.mark.parametrize("rows", [1, 40])
-def test_trim_draws_with_rejections(rows):
-    # at n = 3 * 2**30 + 1 a Lemire draw is rejected a quarter of the time
-    seeds = list(range(rows))
-    assert_draws_like_choice(seeds, 3 * 2**30 + 1, 5)
-    _, used = trim_draws(seed_words(seeds), 3 * 2**30 + 1, 5)
-    assert used.max() > 5
+def test_drop_sets_are_uniform():
+    # n = 7 at c = 4 drops 3 rows: 35 possible sets
+    drops = trim_drops(np.arange(35_000, dtype=np.uint64), 7, 3)
+    sets = {}
+    for row in np.sort(drops, axis=1).tolist():
+        sets[tuple(row)] = sets.get(tuple(row), 0) + 1
+    assert len(sets) == math.comb(7, 3)
+    assert chi_squared(list(sets.values()), 35_000) < CHI2_999[34]
 
 
-class _ReversedChoice(np.random.Generator):
-    def choice(self, *args, **kwargs):
-        return super().choice(*args, **kwargs)[::-1]
+def test_tie_orders_are_uniform():
+    # a 4-way tie among 8 rows, c = 4: the 24 orders of the tied rows
+    x = np.array([0.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 4.0])
+    sample = estimator.PairedSample(x, np.arange(8.0))
+    orders = {}
+    for seed in range(24_000):
+        ordered = estimator.arrange_by_covariate(sample, estimator.SliceConfig(4, seed))
+        key = tuple(ordered[1:5].tolist())
+        orders[key] = orders.get(key, 0) + 1
+    assert len(orders) == 24
+    assert chi_squared(list(orders.values()), 24_000) < CHI2_999[23]
 
 
-def test_a_numpy_whose_choice_differs_is_refused(monkeypatch):
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: _ReversedChoice(np.random.PCG64(seed))
-    )
-    check_trim_draws.cache_clear()
-    try:
-        with pytest.raises(UnsupportedNumpy, match=f"numpy {np.__version__}") as raised:
-            check_trim_draws()
-        assert raised.value.exit_code == 4
-    finally:
-        check_trim_draws.cache_clear()
-
-
-class _WastefulChoice(np.random.Generator):
-    def choice(self, *args, **kwargs):
-        drops = super().choice(*args, **kwargs)
-        self.bit_generator.random_raw(1000)
-        return drops
-
-
-def test_a_choice_using_unexpected_words_is_refused(monkeypatch):
-    # a row drawn by numpy itself counts the raw words its choice used
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: _WastefulChoice(np.random.PCG64(seed))
-    )
-    with pytest.raises(UnsupportedNumpy, match="raw PCG64 words"):
-        trim_draws(seed_words([5]), 1000, 8)
-
-
-def test_the_choice_check_covers_both_regimes_and_large_bounds():
-    regimes = {seeding._floyd(n, rem) for n, rem, _ in seeding._CHOICE_CHECKS}
-    assert regimes == {True, False}
-    assert max(n for n, _, _ in seeding._CHOICE_CHECKS) > 2**31
-    assert max(len(seeds) for _, _, seeds in seeding._CHOICE_CHECKS) >= seeding._VECTOR_ROWS
+@pytest.mark.parametrize("n", [8, 33])
+def test_tie_order_falls_back_to_the_lexsort(n):
+    # rows 0 and 1 hold keys equal in their top 53 - b bits, which the packed
+    # sort cannot tell apart (its order would follow the positions); row 2
+    # holds full keys.  Levels are given in x's own order and in sorted order.
+    b = (n - 1).bit_length()
+    rng = np.random.default_rng(n)
+    top = np.uint64(rng.integers(0, 2 ** (53 - b))) << np.uint64(11 + b)
+    key = top | rng.integers(0, 2 ** (11 + b), (3, n)).astype(np.uint64)
+    key[2] = rng.integers(0, 2**63, n).astype(np.uint64) << np.uint64(1)
+    x = np.array([np.zeros(n), *rng.integers(0, 3, (2, n)).astype(float)])
+    expected = np.lexsort((key, x), axis=1).tolist()
+    assert estimator._tie_order(x, x.astype(np.uint64), key).tolist() == expected
+    order = np.argsort(x, axis=1, kind="stable")
+    levels = np.take_along_axis(x, order, axis=1).astype(np.uint64)
+    assert estimator._tie_order(x, levels, key, order).tolist() == expected
