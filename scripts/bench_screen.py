@@ -19,12 +19,16 @@ checkout's src/ directory under its own name as well, and alternates the
 two within the child: call i of one tree runs next to call i of the other,
 which goes first on even calls and second on odd ones.  So both trees see
 the same machine load, and each pair gives one ratio, change over
-baseline.  The children of all configurations alternate, --rounds times
-over.  The medians and interquartile ranges of the pooled calls and
-faults, each round's median, the paired ratios and the machine (nproc,
-CPU model, load average, numpy version) go to --output as JSON.
+baseline.  A child loads and sets up its trees in turn, and the heap each
+one's calls meet depends on that turn, so the order is swapped every
+round (an even --rounds gives each tree each place equally often) and
+recorded in the output's settings.  The children of all configurations
+alternate, --rounds times over.  The medians and interquartile ranges of
+the pooled calls and faults, each round's median, the paired ratios and
+the machine (nproc, CPU model, load average, numpy version) go to
+--output as JSON, keyed by tree.
 
-    python3 scripts/bench_screen.py --rounds 3 --calls 5 --output BENCH_screen.json
+    python3 scripts/bench_screen.py --rounds 4 --calls 5 --output BENCH_screen.json
 """
 
 import argparse
@@ -69,8 +73,9 @@ def make_data(package, workload, seed):
 
 
 def child(srcs, workload, threads, calls, seed):
-    """Time ``calls`` screens of each tree in this process, the trees taking
-    turns; print each tree's seconds and minor faults per call as JSON."""
+    """Time ``calls`` screens of each tree in this process, the trees loaded
+    and set up in the order of ``srcs`` and then taking turns; print each
+    tree's seconds and minor faults per call as JSON, in that order."""
     packages = [load_package(src, f"sitscreen_tree{i}") for i, src in enumerate(srcs)]
     runs = []
     for package in packages:
@@ -129,7 +134,7 @@ def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--calls", type=int, default=5)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--baseline", type=Path, default=None,
@@ -149,10 +154,14 @@ def main():
     times = {(tree, *key): [] for tree in trees for key in keys}
     faults = {key: [] for key in times}
     rounds = {key: [] for key in times}
-    for _ in range(args.rounds):
+    orders = []
+    for round_index in range(args.rounds):
+        order = list(trees) if round_index % 2 == 0 else list(trees)[::-1]
+        orders.append(order)
         for workload, threads in keys:
-            got = run_child(list(trees.values()), workload, threads, args.calls, args.seed)
-            for tree, tree_times, tree_faults in zip(trees, got["times"], got["faults"]):
+            srcs = [trees[tree] for tree in order]
+            got = run_child(srcs, workload, threads, args.calls, args.seed)
+            for tree, tree_times, tree_faults in zip(order, got["times"], got["faults"]):
                 times[tree, workload, threads] += tree_times
                 faults[tree, workload, threads] += tree_faults
                 rounds[tree, workload, threads].append(statistics.median(tree_times))
@@ -172,7 +181,7 @@ def main():
     record = {
         "machine": machine() | {"load_average_before": load_before},
         "settings": {"rounds": args.rounds, "calls": args.calls, "seed": args.seed,
-                     "trees": list(trees)},
+                     "trees": list(trees), "load_order_per_round": orders},
         "results": results,
     }
     args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

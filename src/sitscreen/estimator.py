@@ -4,8 +4,9 @@ The statistic measures how strongly a response Y depends on a covariate X,
 on a scale where 0 corresponds to independence and 1 to Y being a function
 of X.  It is computed from ranks only:
 
-1. discard n mod c observations at random, order the rest by X (ties
-   broken by seeded random keys, one per row),
+1. discard the n mod c observations every sample of n discards (a fixed
+   random subset), order the rest by X (ties broken by seeded random keys,
+   one per kept row),
 2. cut the ordered sample into H = floor(n / c) slices of c observations,
 3. compare, within each slice, the response ranks r of the slice members,
 4. normalise by the global rank dispersion sum R_i (n - R_i).
@@ -25,8 +26,8 @@ variable.
 The kernel evaluates a block of covariates at once, and one driver
 (:func:`_omegas`) feeds it the columns of :func:`sliced_estimate` and of
 each ``screen_all`` worker alike.  Each of its calls allocates one
-workspace (:class:`_Workspace`) that every block reuses: an untrimmed
-block of tie-free float columns writes its keys, order, int32 ranks and
+workspace (:class:`_Workspace`) that every block reuses: a block of
+tie-free float columns writes its keys, order, int32 ranks and
 numerators there and allocates no block-sized array, its slices sorted in
 place and its numerators taken by one ``np.einsum``.  A column is ordered
 by one in-place sort of integer keys that pack each value's level, its
@@ -42,10 +43,11 @@ the columns that take the key sort compute tie-break keys, the counter-based
 keys of :func:`~sitscreen.seeding.tie_keys`, on whole arrays.  The response
 is sorted once, by one ``np.unique`` into a level table (each observation's
 level, each level's size); the kernel's rank counts r and dispersion sums
-and the calibration all follow from it.  Trimmed columns draw their drops
-for a span of blocks at once (:func:`~sitscreen.seeding.trim_drops`,
-Floyd's sample from the same keys), and their kept rank counts come from
-one table per span.
+and the calibration all follow from it.  A trimmed sample drops the same
+rows from every column (:func:`~sitscreen.seeding.dropped_rows`) and
+screens as the untrimmed sample of its kept rows: each block gathers its
+kept rows, and the kept response's level table follows from the full one
+without another sort (:func:`_trim`).
 
 Under independence of X and Y the scaled statistic
 
@@ -65,7 +67,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,52 +76,45 @@ from .errors import (
     InvalidCalibration,
     SampleTooSmall,
 )
-from .seeding import tie_key, tie_keys, trim_drops
+from .seeding import dropped_rows, tie_key, tie_keys
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
 # The modes VarianceCalibration.from_counts (and --sigma) takes.
 SIGMA_MODES = ("auto", "fixed", "plugin")
 # Cells per kernel block (32 columns at n = 1024); every block of a worker
-# reuses one workspace of 16 bytes a cell (512 KB).  2**14 won an earlier
-# timing only because each block then allocated its own temporaries of
-# 128 KB and more, around glibc's mmap threshold: at 2**15 they were mapped
-# and faulted in afresh for every block (20,050 minor faults and 1.3-1.4x
-# the time per 1024 x 5000 screen), and at 2**14 too in some heap states
-# (30,119 faults).  It was the allocator, not the cache.  With the
-# workspace, timed at one thread (medians of 30 calls taking turns in one
-# process; 2**14 / 2**15 / 2**16): 1024 x 5000 Gaussian 0.091 / 0.087 /
-# 0.083 s, trimmed 1000 x 5000 Gaussian 0.211 / 0.194 / 0.197 s, 1000 x 1000
-# genotypes 0.075 / 0.070 / 0.071 s.  2**16 gains little at one thread, and
-# the temporaries of the integer and trimmed paths grow with the block.
+# reuses one workspace of 16 bytes a cell (512 KB).  Timed at one thread
+# (medians of 30 calls taking turns in one process; 2**14 / 2**15 / 2**16):
+# 1024 x 5000 Gaussian 0.091 / 0.087 / 0.083 s, 1000 x 1000 genotypes
+# 0.075 / 0.070 / 0.071 s.  2**16 gains little over 2**15, and the integer
+# path's temporaries grow with the block.
 BLOCK_CELLS = 2**15
-# Cells of the kept-count table a trimmed run of columns builds at once
-# (columns x levels, 1 MB of int32).  Its draw and the sort of its dropped
-# levels hold a few int64 temporaries per column and trimmed row, and it
-# covers at most TABLE_CELLS // 16 of those.  At n = 1000 and c = 32 a
-# tie-free response takes 256 columns per table, a response of 3 levels 2,048.
-TABLE_CELLS = 2**18
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool, which Python counts as an
+    int (numpy's bool is no np.integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class SliceConfig:
     """The caller's slicing choices: c observations per slice, a tie seed.
 
-    Before ordering, ``n mod c`` observations are always discarded, chosen
-    uniformly at random from ``tie_seed``; the rest form H = floor(n / c)
-    slices (see :meth:`slices`), so the effective sample size is H * c.
-    ``tie_seed`` is an integer in [0, 2**64).
+    Before ordering, ``n mod c`` observations are always discarded: the
+    rows :func:`~sitscreen.seeding.dropped_rows` fixes for (n, n mod c),
+    whatever the seed.  The rest form H = floor(n / c) slices (see
+    :meth:`slices`), so the effective sample size is H * c.  ``c`` and
+    ``tie_seed`` are integers, not bools; ``tie_seed`` is in [0, 2**64).
     """
 
     c: int
     tie_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.c, (int, np.integer)) or self.c < 2:
+        if not _is_integer(self.c) or self.c < 2:
             raise ConfigError(f"slice size c must be an integer >= 2, got {self.c!r}")
-        if not isinstance(self.tie_seed, (int, np.integer)) or not (
-            0 <= self.tie_seed < 2**64
-        ):
+        if not _is_integer(self.tie_seed) or not (0 <= self.tie_seed < 2**64):
             raise ConfigError(
                 f"tie_seed must be an integer in [0, 2**64), got {self.tie_seed!r}"
             )
@@ -285,14 +279,14 @@ class DependenceEstimate:
 def arrange_by_covariate(sample: PairedSample, config: SliceConfig) -> np.ndarray:
     """Trim the sample to a multiple of c and order the response by X.
 
-    All randomness comes from the keys key_s(i) of the tie seed s
-    (:func:`~sitscreen.seeding.tie_key`), taken here as Python ints.  The
-    rem = n mod c dropped rows are Floyd's sample: pick t draws
-    v_t = floor(key_s(n + t) (j_t + 1) / 2**64) from 0..j_t, j_t = n - rem + t,
-    and takes j_t instead when v_t was picked before.  The kept rows are
-    ordered by (x_i, key_s(i)); a column's keys are distinct, so no other
-    tie-break is needed.  Returns the H * c response values in slice order,
-    a pure function of (sample, config).
+    The rem = n mod c dropped rows are those of
+    :func:`~sitscreen.seeding.dropped_rows`, the same for every seed.  The
+    kept rows, in row order, take the keys key_s(j) of the tie seed s by
+    their kept position j (:func:`~sitscreen.seeding.tie_key`, Python
+    ints), and are ordered by (x, key_s(j)); a column's keys are distinct,
+    so no other tie-break is needed.  So a trimmed sample arranges as the
+    untrimmed sample of its kept rows.  Returns the H * c response values in
+    slice order, a pure function of (sample, config).
 
     The brute-force reference uses this arrangement directly, and the fast
     kernel reproduces it bit for bit: both paths must see the same
@@ -300,15 +294,10 @@ def arrange_by_covariate(sample: PairedSample, config: SliceConfig) -> np.ndarra
     """
     config.slices(sample.n)  # refuses samples with fewer than two slices
     n, s = sample.n, int(config.tie_seed)
-    rem = n % config.c
-    dropped = set()
-    for t in range(rem):
-        j = n - rem + t
-        v = tie_key(s, n + t) * (j + 1) >> 64
-        dropped.add(j if v in dropped else v)
+    dropped = set(dropped_rows(n, n % config.c))
     kept = [i for i in range(n) if i not in dropped]
-    kept.sort(key=lambda i: (float(sample.x[i]), tie_key(s, i)))
-    return sample.y[kept]
+    slots = sorted(range(len(kept)), key=lambda j: (float(sample.x[kept[j]]), tie_key(s, j)))
+    return sample.y[[kept[j] for j in slots]]
 
 
 def rank_counts(y: np.ndarray) -> RankCounts:
@@ -341,44 +330,6 @@ def _exact_sum(m, a, b):
         for half, at in ((part >> 32, shift + 32), (part & 0xFFFFFFFF, shift)):
             total += np.einsum("...l,...l->...", m, half).astype(object) << at
     return total.tolist()
-
-
-def _kept_counts(counts, drops, n_eff) -> tuple[np.ndarray, list[int]]:
-    """Cumulative kept level sizes and dispersion sum of each row's kept
-    subsample, given the row indices each row drops.
-
-    A kept observation's r is the cumulative kept size at its level: the
-    full cumulative size less D(l), the row's drops at or below level l.
-    D is a step function with one step per drop, laid out by one
-    ``np.repeat`` of 0..rem over the runs between the sorted drop levels.
-    The dispersion sum is :meth:`RankCounts.dispersion` of the kept sizes,
-    all rows in one :func:`_exact_sum`; tie-free, the kept R are a
-    permutation of 1..n_eff and the sum is n_eff (n_eff^2 - 1) / 6.  The
-    table is int32 below 2**31 rows.
-    """
-    rows, rem = drops.shape
-    L = counts.sizes.shape[0]
-    dtype = np.int32 if n_eff < 2**31 else np.int64
-    runs = np.diff(np.sort(counts.level[drops], axis=1), axis=1, prepend=0, append=L)
-    below = np.repeat(np.tile(np.arange(rem + 1, dtype=dtype), rows), runs.ravel())
-    at_most = np.cumsum(counts.sizes).astype(dtype) - below.reshape(rows, L)
-    if counts.tie_free:
-        return at_most, [n_eff * (n_eff**2 - 1) // 6] * rows
-    m = np.diff(at_most, axis=1, prepend=0)
-    R = n_eff - at_most + m
-    return at_most, _exact_sum(m, R, n_eff - R)
-
-
-class _Trim(NamedTuple):
-    """The trimming of a run of columns: each one's dropped rows, its
-    cumulative kept level sizes and ``den``."""
-
-    drops: np.ndarray
-    at_most: np.ndarray
-    den: list[int]
-
-    def rows(self, lo: int, hi: int) -> "_Trim":
-        return _Trim(*(field[lo:hi] for field in self))
 
 
 def _take_rows(a, idx):
@@ -418,16 +369,6 @@ def _integer_levels(xt):
     levels = np.empty(rows.shape, dtype=np.uint64)
     np.subtract(rows, lo, out=levels, casting="unsafe")
     return ints, levels
-
-
-def _tie_keys(seeds, keep, rows, n):
-    """Tie-break keys of block ``rows``, in row order: key_s(i) of each of
-    the row's n kept rows i, s its tie seed in ``seeds``.  ``keep`` is the
-    block's keep mask, or None when every row is kept."""
-    if keep is None:
-        return tie_keys(seeds[rows, None], np.arange(n))
-    keys = tie_keys(seeds[rows, None], np.arange(keep.shape[1]))
-    return keys[keep[rows]].reshape(rows.size, n)
 
 
 def _tie_order(x, levels, key, order=None):
@@ -476,15 +417,15 @@ class _Workspace:
     ``order`` holds the sorted keys' neighbour XOR, then each row's argsort
     order.  ``num`` takes each row's numerator; ``w`` holds the slice
     weights 2j - c + 1 and ``pos`` the row positions 0..n_eff - 1.  Ranks,
-    weights and numerators are int32 when n_eff c n < 2**31: ranks are at
-    most n and the weights' magnitudes sum to at most c^2 / 2, so every
-    partial sum of a row's ``num`` is at most n_eff c n / 2 in magnitude
+    weights and numerators are int32 when n_eff^2 c < 2**31: ranks are at
+    most n_eff and the weights' magnitudes sum to at most c^2 / 2, so every
+    partial sum of a row's ``num`` is at most n_eff^2 c / 2 in magnitude
     and the int32 contraction is exact.  Otherwise they are int64, which
     ``SliceConfig.slices`` keeps exact.
     """
 
-    def __init__(self, rows: int, n_eff: int, c: int, n: int):
-        dtype = np.int32 if n_eff * c * n < 2**31 else np.int64
+    def __init__(self, rows: int, n_eff: int, c: int):
+        dtype = np.int32 if n_eff * c * n_eff < 2**31 else np.int64
         self.keys = np.empty((rows, n_eff))
         self.order = np.empty((rows, n_eff), dtype=np.int64)
         self.ranks = self.keys.reshape(-1).view(dtype)[: rows * n_eff].reshape(rows, n_eff)
@@ -493,7 +434,7 @@ class _Workspace:
         self.pos = np.arange(n_eff, dtype=np.uint64)
 
 
-def _packed_order(xt, ws: _Workspace | None = None):
+def _packed_order(xt, ws: _Workspace):
     """Each row's argsort order, the rows with ties, and those rows' dense
     levels in sorted order (uint64, 0 for the smallest value).
 
@@ -510,12 +451,10 @@ def _packed_order(xt, ws: _Workspace | None = None):
     sort (positions inside a bucket follow the row, not the values) takes
     argsort and sort.  Rows of integers less than 2**11 apart never come here:
     their values give their levels (:func:`_integer_levels`).  The keys, the
-    XOR and the order are written into the workspace ``ws`` (a fresh one when
-    None), and the returned order is a view of it.
+    XOR and the order are written into the workspace ``ws``, and the
+    returned order is a view of it.
     """
     p, n = xt.shape
-    if ws is None:
-        ws = _Workspace(p, n, 2, n)
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = ws.keys[:p]
     np.copyto(keys, xt)
@@ -568,120 +507,101 @@ def _ratio(num, den, c, n_eff, out) -> None:
         ]
 
 
-def _kept(xt, counts: RankCounts, trim, n_eff):
-    """Each row's keep mask, kept values and their rank counts r, in row
-    order: the mask without the row's drops, the values less the drops as
-    one (rows, n_eff) array, and for each kept value the cumulative kept
-    size at its response level."""
-    p, n = xt.shape
-    keep = np.ones((p, n), dtype=bool)
-    keep[np.arange(p)[:, None], trim.drops] = False
-    level = np.broadcast_to(counts.level, keep.shape)[keep].reshape(p, n_eff)
-    level += trim.at_most.shape[1] * np.arange(p)[:, None]
-    return keep, xt[keep].reshape(p, n_eff), np.take(trim.at_most, level)
-
-
-def _omega_block(xt, counts: RankCounts, seeds, c, H, trim, ws, out) -> None:
-    """Statistic of each row of a (columns, n) covariate block against y,
-    written into ``out``.
+def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
+    """Statistic of each row of a (columns, n_eff) covariate block against
+    the response whose level table is ``counts``, written into ``out``.
 
     ``xt`` may be any view of the block, a transposed slice of the design
-    included: an untrimmed float block is copied only into the workspace's
-    keys by :func:`_packed_order`.  ``counts`` is the full response's level
-    table and ``seeds[j]`` row j's tie seed.  ``trim`` is None when c
-    divides n; otherwise it holds the block's rows of the trim table of
-    :func:`_omegas`: their drops, and the kept counts that give r and
-    ``den``.  Rows take the keys :func:`arrange_by_covariate` takes, but
-    tie-break keys only when they use them (:func:`_tie_keys`).  A row of
-    integers less than 2**11 apart (a genotype) takes its keys and one
-    integer key sort (:func:`_tie_order`) without the float sort; its keys
-    cannot change the order of such a row without ties.  Other rows take
-    one float sort of packed keys (:func:`_packed_order`), and those with
-    ties then the key sort.
+    included: a float block is copied only into the workspace's keys by
+    :func:`_packed_order`.  ``seeds[j]`` is row j's tie seed.  Rows take the
+    keys :func:`arrange_by_covariate` takes, but tie-break keys only when
+    they use them.  A row of integers less than 2**11 apart (a genotype)
+    takes its keys and one integer key sort (:func:`_tie_order`) without
+    the float sort; its keys cannot change the order of such a row without
+    ties.  Other rows take one float sort of packed keys
+    (:func:`_packed_order`), and those with ties then the key sort.
 
-    An untrimmed block of tie-free float rows, the common case, works in the
-    workspace ``ws`` alone: keys, XOR and order as above, then the ranks
-    gathered by ``np.take`` into ``ws.ranks`` (int32 below the bound of
+    A block of tie-free float rows, the common case, works in the workspace
+    ``ws`` alone: keys, XOR and order as above, then the ranks gathered by
+    ``np.take`` into ``ws.ranks`` (int32 below the bound of
     :class:`_Workspace`), each slice sorted in place, and for sorted slice
     ranks a_(j) the pairwise spread sum_j (2j - c + 1) a_(j) as one
-    ``np.einsum`` into ``ws.num``.  Near, tied, integer and trimmed rows
-    still allocate their own temporaries.  The ratio is one float division
-    while its operands stay below 2**53 (:func:`_ratio`).
+    ``np.einsum`` into ``ws.num``.  Near, tied and integer rows still
+    allocate their own temporaries.  The ratio is one float division while
+    its operands stay below 2**53 (:func:`_ratio`).
     """
-    p, n = xt.shape
-    n_eff = H * c
-    keep = None
-    if trim is None:
-        ranks, den = counts.r, [counts.dispersion] * p
-    else:
-        keep, xt, ranks = _kept(xt, counts, trim, n_eff)
-        den = trim.den
+    p, n_eff = xt.shape
     ints, int_levels = _integer_levels(xt)
     if not len(ints):
         order, tied, levels = _packed_order(xt, ws)
     elif ints.size == p:
-        key = _tie_keys(seeds, keep, ints, n_eff)
+        key = tie_keys(seeds[ints, None], ws.pos)
         order, tied = _tie_order(xt, int_levels, key), ints[:0]
     else:
         order, tied = np.empty((p, n_eff), dtype=np.int64), ints[:0]
         floats = np.delete(np.arange(p), ints)
         order[floats], tied, levels = _packed_order(xt[floats], ws)
         tied = floats[tied]
-        key = _tie_keys(seeds, keep, ints, n_eff)
+        key = tie_keys(seeds[ints, None], ws.pos)
         order[ints] = _tie_order(xt[ints], int_levels, key)
     if tied.size:
-        key = _tie_keys(seeds, keep, tied, n_eff)
+        key = tie_keys(seeds[tied, None], ws.pos)
         order[tied] = _tie_order(xt[tied], levels, key, order[tied])
     sliced = ws.ranks[:p]
-    if ranks.ndim == 2:
-        order += n_eff * np.arange(p)[:, None]  # flat indices of the kept ranks
-    if ranks.dtype == sliced.dtype:
-        np.take(ranks, order, out=sliced, mode="clip")  # every index is in range
+    if counts.r.dtype == sliced.dtype:
+        np.take(counts.r, order, out=sliced, mode="clip")  # every index is in range
     else:
-        sliced[...] = np.take(ranks, order)
-    slices = sliced.reshape(p, H, c)
+        sliced[...] = np.take(counts.r, order)
+    slices = sliced.reshape(p, n_eff // c, c)
     slices.sort(axis=2)
     num = np.einsum("phc,c->p", slices, ws.w, out=ws.num[:p])
     # exact integers and one final rounding, as in the brute-force reference
-    _ratio(num, den, c, n_eff, out)
+    _ratio(num, [counts.dispersion] * p, c, n_eff, out)
 
 
-def _omegas(x, counts: RankCounts, seeds, c, H, start, stop) -> np.ndarray:
+def _trim(counts: RankCounts, c: int):
+    """The rows a sample of n keeps in slices of c, ascending (None when c
+    divides n), and the kept response's level table.
+
+    Every sample of n drops the rows of
+    :func:`~sitscreen.seeding.dropped_rows`.  The kept table comes from the
+    full one without another sort: each level's size less its dropped
+    rows, the levels left empty removed.  A kept response of one level is
+    refused.
+    """
+    n, sizes = counts.level.shape[0], counts.sizes
+    dropped = dropped_rows(n, n % c)
+    if not dropped:
+        return None, counts
+    sizes = sizes - np.bincount(counts.level[dropped], minlength=sizes.shape[0])
+    left = sizes > 0
+    if np.count_nonzero(left) == 1:
+        raise DegenerateResponse("response is constant after trimming")
+    kept = np.delete(np.arange(n), dropped)
+    level = (np.cumsum(left) - 1)[counts.level[kept]]
+    return kept, RankCounts(level=level, sizes=sizes[left])
+
+
+def _omegas(x, kept, counts: RankCounts, seeds, c, start, stop) -> np.ndarray:
     """Statistic of columns ``start:stop`` of the (n, p) design ``x``, column
-    k with the tie seed ``seeds[k]`` (a uint64 array).
+    k with the tie seed ``seeds[k]`` (a uint64 array), on the rows ``kept``
+    of :func:`_trim` (every row when None), whose response has the level
+    table ``counts``.
 
     The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
-    time, each block a transposed view of ``x``, and every block reuses one
-    :class:`_Workspace` (int32 ranks, 16 bytes a cell), allocated here for
-    the call, and every ratio is one float division below the 2**53 guard
-    of :func:`_ratio`.  When c does not divide n, the trims of a span of
-    blocks are drawn (:func:`~sitscreen.seeding.trim_drops`) and their kept
-    counts built in one table of up to TABLE_CELLS // max(levels, 16 *
-    trimmed rows) columns.  Blocks and spans only group the work: each
-    column's value is what it gives alone.
+    time, each block a transposed view of ``x``, or of its kept rows when
+    trimmed, and every block reuses one :class:`_Workspace` (int32 ranks,
+    16 bytes a cell), allocated here for the call.  Blocks only group the
+    work: each column's value is what it gives alone.
     """
-    n, n_eff = x.shape[0], H * c
-    step = max(1, BLOCK_CELLS // n)
-    width = max(counts.sizes.shape[0], 16 * (n - n_eff))
-    span = step * max(1, TABLE_CELLS // (step * width))
-    ws = _Workspace(min(step, stop - start), n_eff, c, n)
+    n_eff = counts.level.shape[0]
+    step = max(1, BLOCK_CELLS // n_eff)
+    ws = _Workspace(min(step, stop - start), n_eff, c)
     out = np.empty(stop - start, dtype=np.float64)
-    for first in range(start, stop, span):
-        last = min(first + span, stop)
-        trim = None
-        if n_eff < n:
-            drops = trim_drops(seeds[first:last], n, n - n_eff)
-            at_most, den = _kept_counts(counts, drops, n_eff)
-            if 0 in den:
-                raise DegenerateResponse("response is constant after trimming")
-            trim = _Trim(drops, at_most, den)
-        for lo in range(first, last, step):
-            hi = min(lo + step, last)
-            part = trim.rows(lo - first, hi - first) if trim else None
-            _omega_block(
-                x[:, lo:hi].T, counts, seeds[lo:hi], c, H, part, ws,
-                out[lo - start : hi - start],
-            )
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        xt = x[:, lo:hi].T if kept is None else x[:, lo:hi].T[:, kept]
+        _omega_block(xt, counts, seeds[lo:hi], c, ws, out[lo - start : hi - start])
     return out
 
 
@@ -700,8 +620,9 @@ def sliced_estimate(
     counts = rank_counts(sample.y)
     if calibration is None:
         calibration = VarianceCalibration.from_counts(counts)
+    kept, kept_counts = _trim(counts, c)
     seeds = np.array([config.tie_seed], dtype=np.uint64)
-    (value,) = _omegas(sample.x[:, None], counts, seeds, c, H, 0, 1).tolist()
+    (value,) = _omegas(sample.x[:, None], kept, kept_counts, seeds, c, 0, 1).tolist()
     z = z_statistic(value, H * c, c, calibration)
     return DependenceEstimate(
         omega_hat=value, z=z, p_value=p_value_from_z(z), n_effective=H * c, c=c

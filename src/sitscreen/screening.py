@@ -7,13 +7,16 @@ ranking live in :mod:`sitscreen.fdr`.  Also holds the ranking diagnostic
 studies and the stability check.
 
 Every column is cut into the H slices of ``SliceConfig.slices``, the one
-row floor.  Each worker hands its span of columns to the statistic's one
-column driver (``estimator._omegas``), which walks them in kernel blocks.
-Column k's trimming and tie-break randomness comes from the counter-based
-keys of the seed hash(master_seed, k) (:func:`~sitscreen.seeding.tie_keys`),
-computed only when the column needs them (trimming, or ties among its
-values), so results are identical for any worker count and any chunking of
-the columns.  All p seeds are hashed in one batched call per screen.
+row floor.  Every column drops the same n mod c rows
+(:func:`~sitscreen.seeding.dropped_rows`), and the kept response's level
+table is built once per screen.  Each worker hands its span of columns to
+the statistic's one column driver (``estimator._omegas``), which walks
+them in kernel blocks.  Column k's tie-break randomness comes from the
+counter-based keys of the seed hash(master_seed, k)
+(:func:`~sitscreen.seeding.tie_keys`), computed only when the column has
+ties among its kept values, so results are identical for any worker count
+and any chunking of the columns.  All p seeds are hashed in one batched
+call per screen.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .estimator import (
     SliceConfig,
     VarianceCalibration,
     _omegas,
+    _trim,
     p_value_from_z,
     rank_counts,
     z_statistic,
@@ -153,7 +157,8 @@ def screen_all(
 
     ``config.tie_seed`` acts as the master seed; column k is evaluated with
     the derived seed hash(master, k), exactly as if ``sliced_estimate`` were
-    called on that column alone.  Results do not depend on ``threads``.
+    called on that column alone, and a trimmed sample screens as the
+    untrimmed sample of its kept rows.  Results do not depend on ``threads``.
     The calibration defaults to ``auto``
     (:meth:`~sitscreen.estimator.VarianceCalibration.from_counts`) of the
     dataset's level table.  Too few rows for two slices raise SampleTooSmall
@@ -169,11 +174,12 @@ def screen_all(
     x = data.x
     if not (x[1] != x[0]).any() and np.all(x == x[0:1, :]):
         raise AllColumnsConstant("every covariate column is constant")
+    kept, kept_counts = _trim(counts, c)
     p = data.p
     seeds = derive_seeds(config.tie_seed, p)
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        work = partial(_omegas, x, counts, seeds, c, H)
+        work = partial(_omegas, x, kept, kept_counts, seeds, c)
         omega = np.concatenate(list(pool.map(work, bounds[:-1], bounds[1:])))
 
     z = z_statistic(omega, H * c, c, calibration)

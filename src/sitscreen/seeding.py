@@ -1,5 +1,5 @@
-"""Deterministic seed derivation, and the tie-break keys and trimming
-draw of a seeded column.
+"""Deterministic seed derivation, the tie-break keys of a seeded column,
+and the rows a trimmed sample drops.
 
 All randomness in the package flows through explicit integer seeds.  Derived
 seeds are produced by hashing a tuple of integers through
@@ -9,19 +9,19 @@ one seed per column, so :func:`derive_seeds` runs SeedSequence's documented
 uint32 hash/mix (pool of 4 words) on whole arrays at once, equal bit for
 bit to ``derive_seed``.
 
-A column's randomness is one counter-based key per row (Salmon et al. 2011,
-"Parallel random numbers: as easy as 1, 2, 3"): for tie seed s,
+A column's tie-breaks come from one counter-based key per row (Salmon et
+al. 2011, "Parallel random numbers: as easy as 1, 2, 3"): for tie seed s,
 
     key_s(i) = mix64(s + (i + 1) gamma mod 2**64),
 
 with gamma = 0x9E3779B97F4A7C15 and mix64 SplitMix64's output function
 (Steele, Lea & Flood 2014), so key_s(i) is the (i + 1)-th output of a
 SplitMix64 generator seeded with s.  mix64 is a bijection and gamma is odd,
-so a column's keys are all distinct.  Keys 0..n - 1 break ties among equal
-covariate values (:func:`tie_keys`); keys n..n + rem - 1 drive Floyd's
-sample of the rem dropped rows (Bentley & Floyd 1987, "A sample of
-brilliance"; :func:`trim_drops`).  Every key is arithmetic on whole arrays,
-so any subset of rows and columns costs the same per key.
+so a column's keys are all distinct.  Keys 0..n_eff - 1 break ties among
+equal covariate values (:func:`tie_keys`), each key arithmetic on whole
+arrays.  The rem = n mod c rows a sample drops depend on (n, rem) alone:
+Floyd's sample (Bentley & Floyd 1987, "A sample of brilliance") from seed
+0's keys n..n + rem - 1 (:func:`dropped_rows`), shared by every column.
 """
 
 from __future__ import annotations
@@ -135,24 +135,14 @@ def tie_keys(seeds, rows) -> np.ndarray:
     return keys
 
 
-def trim_drops(seeds, n: int, rem: int) -> np.ndarray:
-    """The rem rows of range(n) each tie seed of ``seeds`` drops, as one
-    (seeds, rem) int64 array: Floyd's sample, whose pick t takes
-    v_t = floor(key_s(n + t) (j_t + 1) / 2**64) <= j_t, j_t = n - rem + t,
-    or j_t itself when an earlier pick holds v_t.  Every draw is taken at
-    once, and the picks in turn over all seeds; n < 2**32, as
-    ``SliceConfig.slices`` keeps it."""
-    keys = tie_keys(np.asarray(seeds, dtype=np.uint64)[:, None], np.arange(n, n + rem))
-    bound = np.arange(n - rem + 1, n + 1, dtype=np.uint64)
-    # the high word of key * bound from the key's 32-bit halves: with
-    # bound < 2**32 neither product nor their sum reaches 2**64
-    low = (keys & np.uint64(_MASK32)) * bound >> np.uint64(32)
-    keys >>= np.uint64(32)
-    keys *= bound
-    keys += low
-    keys >>= np.uint64(32)
-    drops = keys.view(np.int64)
-    for t in range(1, rem):
-        held = (drops[:, :t] == drops[:, t, None]).any(axis=1)
-        drops[held, t] = n - rem + t
-    return drops
+def dropped_rows(n: int, rem: int) -> list[int]:
+    """The rem rows of range(n) a sample of n drops, in pick order: Floyd's
+    sample from seed 0's keys, whose pick t takes
+    v_t = floor(key_0(n + t) (j_t + 1) / 2**64) <= j_t, j_t = n - rem + t,
+    or j_t itself when an earlier pick holds v_t."""
+    picks = []
+    for t in range(rem):
+        j = n - rem + t
+        v = tie_key(0, n + t) * (j + 1) >> 64
+        picks.append(j if v in picks else v)
+    return picks

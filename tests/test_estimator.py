@@ -21,11 +21,12 @@ from sitscreen.estimator import (
     RankCounts,
     _exact_sum,
     _integer_levels,
-    _kept_counts,
     _ndtr,
     _packed_order,
     _ratio,
     _tie_order,
+    _trim,
+    _Workspace,
     arrange_by_covariate,
     auto_calibration,
     p_value_from_z,
@@ -33,7 +34,7 @@ from sitscreen.estimator import (
     z_statistic,
 )
 from sitscreen.oracle import oracle_theta1
-from sitscreen.seeding import trim_drops
+from sitscreen.seeding import dropped_rows
 
 
 def estimate_value(x, y, c, seed=0):
@@ -83,6 +84,19 @@ class TestValidation:
             SliceConfig(c=4, tie_seed=seed)
         assert raised.value.exit_code == 4
         assert SliceConfig(c=4, tie_seed=np.uint64(2**64 - 1)).tie_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_tie_seed_must_not_be_a_bool(self, flag):
+        # bool is an int to Python: True would screen as seed 1
+        with pytest.raises(ConfigError, match="tie_seed must be an integer") as raised:
+            SliceConfig(c=4, tie_seed=flag)
+        assert raised.value.exit_code == 4
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_slice_size_must_not_be_a_bool(self, flag):
+        with pytest.raises(ConfigError, match="slice size c must be an integer") as raised:
+            SliceConfig(c=flag)
+        assert raised.value.exit_code == 4
 
     def test_spread_sum_bound(self):
         # n_effective * c * n is exactly 2**64 here; nothing is allocated
@@ -309,21 +323,6 @@ LEVEL_MIXES = st.sampled_from([FEW_LEVELS, MANY_LEVELS, FEW_LEVELS | MANY_LEVELS
 BINARY = st.sampled_from([0.0, 1.0])
 
 
-def trimmed_rows(rng, n, rows, dropped):
-    """Each row's dropped indices, and the kept mask they leave."""
-    drops = np.array([rng.choice(n, size=dropped, replace=False) for _ in range(rows)])
-    keep = np.ones((rows, n), dtype=bool)
-    keep[np.arange(rows)[:, None], drops] = False
-    return drops, keep
-
-
-def kept_ranks(counts, drops, keep, n_eff):
-    """Each row's kept r, read from its cumulative kept level sizes, and den."""
-    at_most, den = _kept_counts(counts, drops, n_eff)
-    assert at_most.dtype == np.int32
-    return [at_most[j][counts.level[keep[j]]].tolist() for j in range(len(keep))], den
-
-
 class TestRankCounts:
     def test_worked_level_table(self):
         counts = rank_counts(np.array([3.0, 1.0, 4.0, 1.0, 5.0, -0.0, 0.0]))
@@ -433,44 +432,57 @@ def test_consistency_grows_with_n():
     assert means[2] >= means[1] - 0.02
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(4, 300), st.integers(1, 5), st.data())
-def test_trimmed_tie_free_dispersion_is_closed_form(n, rows, data):
-    # the kept R of a tie-free response are a permutation of 1..n_eff
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    y = rng.standard_normal(n)
+def assert_kept_table(y, c):
+    """_trim's table, built without a sort, against the kept rows' own sort."""
+    n = y.shape[0]
     counts = rank_counts(y)
-    assert counts.tie_free
-    dropped = data.draw(st.integers(1, n - 2))
-    drops, keep = trimmed_rows(rng, n, rows, dropped)
-    n_eff = n - dropped
-    ranks, den = kept_ranks(counts, drops, keep, n_eff)
-    assert den == [n_eff * (n_eff**2 - 1) // 6] * rows
-    for j in range(rows):
-        assert (ranks[j], den[j]) == literal_counts(y[keep[j]])
+    dropped = dropped_rows(n, n % c)
+    kept_y = np.delete(y, dropped)
+    if np.unique(kept_y).shape[0] == 1:
+        with pytest.raises(DegenerateResponse, match="^response is constant after trimming$"):
+            _trim(counts, c)
+        return None
+    kept, table = _trim(counts, c)
+    if not dropped:
+        assert kept is None and table is counts
+        return table
+    assert kept.tolist() == [i for i in range(n) if i not in dropped]
+    expected = rank_counts(kept_y)
+    for got, want in ((table.level, expected.level), (table.sizes, expected.sizes)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert (table.r.tolist(), table.dispersion) == literal_counts(kept_y)
+    assert table.r.dtype == np.int32 and table.tie_free == expected.tie_free
+    return table
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(4, 120), st.integers(1, 5), st.data())
-def test_kept_dispersion_from_level_drop_counts(n, rows, data):
-    values = data.draw(LEVEL_MIXES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 300), st.data())
+def test_trimmed_tie_free_dispersion_is_closed_form(n, data):
+    # the kept R of a tie-free response are a permutation of 1..n_eff
+    y = np.array(data.draw(st.lists(MANY_LEVELS, min_size=n, max_size=n, unique=True)))
+    c = data.draw(st.integers(2, n))
+    table = assert_kept_table(y, c)
+    n_eff = n - n % c
+    assert table.tie_free and table.dispersion == n_eff * (n_eff**2 - 1) // 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 300), st.data())
+def test_kept_dispersion_from_level_drop_counts(n, data):
+    values = data.draw(st.just(BINARY) | LEVEL_MIXES)
     y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
     assume(np.unique(y).shape[0] > 1)  # a constant response has no level table
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    dropped = data.draw(st.integers(1, n - 2))
-    drops, keep = trimmed_rows(rng, n, rows, dropped)
-    ranks, den = kept_ranks(rank_counts(y), drops, keep, n - dropped)
-    for j in range(rows):
-        assert (ranks[j], den[j]) == literal_counts(y[keep[j]])
+    assert_kept_table(y, data.draw(st.integers(2, n)))
 
 
 def test_response_constant_after_trimming_raises():
-    # the one larger response value is the row that trimming drops
-    y = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
-    drops = trim_drops(np.arange(100, dtype=np.uint64), 5, 1)[:, 0]
-    seed = int(np.flatnonzero(drops == 4)[0])
-    with pytest.raises(DegenerateResponse, match="after trimming"):
-        sliced_estimate(PairedSample(np.arange(5.0), y), SliceConfig(2, tie_seed=seed))
+    # the one larger response value is on the row every sample of 5 drops
+    y = np.ones(5)
+    (dropped,) = dropped_rows(5, 1)
+    y[dropped] = 2.0
+    for seed in (0, 1, 2**64 - 1):
+        with pytest.raises(DegenerateResponse, match="after trimming"):
+            sliced_estimate(PairedSample(np.arange(5.0), y), SliceConfig(2, tie_seed=seed))
 
 
 def test_constant_untrimmed_response_is_named_constant():
@@ -598,7 +610,7 @@ class TestPackedOrder:
     """One float sort gives each tie-free row its argsort order."""
 
     def check(self, xt):
-        order, tied, levels = _packed_order(xt)
+        order, tied, levels = _packed_order(xt, _Workspace(*xt.shape, 2))
         gathered = np.take_along_axis(xt, order, axis=1)
         assert (gathered[:, 1:] >= gathered[:, :-1]).all()
         has_ties = (gathered[:, 1:] == gathered[:, :-1]).any(axis=1)
@@ -627,6 +639,6 @@ class TestPackedOrder:
 
     def test_signed_zero_pair_is_a_tie(self):
         xt = np.array([[3.0, -0.0, -2.0, 0.0, 1.0]])
-        order, tied, levels = _packed_order(xt)
+        order, tied, levels = _packed_order(xt, _Workspace(*xt.shape, 2))
         assert tied.tolist() == [0]
         assert levels.tolist() == [[0, 1, 1, 2, 3]]

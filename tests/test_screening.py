@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sitscreen import (
@@ -38,7 +38,7 @@ from sitscreen.screening import (
     minimum_model_size,
     resolve_threads,
 )
-from sitscreen.seeding import derive_seed, derive_seeds
+from sitscreen.seeding import derive_seed, derive_seeds, dropped_rows
 
 
 def make_result(omega_like, n=64, c=2, seed=0):
@@ -351,6 +351,29 @@ def test_block_kernel_matches_single_column_paths(instance):
         assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
 
 
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(33, 100), st.sampled_from([3, 4, 8, 32]), st.integers(0, 2**32 - 1),
+       st.booleans(), st.integers(1, 24))
+def test_a_trimmed_screen_is_the_screen_of_its_kept_rows(n, c, master, tied_y, extra):
+    # every column drops the same rows, and the kept rows take the keys of
+    # their kept positions: tied, integer and signed-zero columns at the
+    # kept screen's block boundaries must give its bits
+    assume(n % c and n // c >= 2)
+    kept = np.delete(np.arange(n), dropped_rows(n, n % c))
+    step = BLOCK_CELLS // kept.size
+    p = step + extra
+    rng = np.random.default_rng(master)
+    kinds = rng.choice(KINDS, p)
+    kinds[[0, step - 1, step, p - 1]] = rng.choice(KINDS[1:3], 4)
+    x = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    y = rng.permutation(np.arange(n) % 2).astype(float) if tied_y else rng.standard_normal(n)
+    assume(np.unique(y[kept]).size > 1)
+    config = SliceConfig(c=c, tie_seed=master)
+    expected = screen_all(Dataset(x[kept], y[kept]), config, threads=1).omega.tobytes()
+    for threads in (1, 2, 8):
+        assert screen_all(Dataset(x, y), config, threads=threads).omega.tobytes() == expected
+
+
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
 @pytest.mark.parametrize("n", [64, 67])  # c = 4 divides 64; 67 trims 3 rows
 @pytest.mark.parametrize("tied_y", [False, True])
@@ -424,28 +447,9 @@ def test_trimmed_tied_screen_calls_no_choice(monkeypatch):
         assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
 
 
-def test_trim_tables_do_not_change_the_bits(monkeypatch):
-    # a worker builds its kept-count tables TABLE_CELLS cells at a time;
-    # one table per block must give the bits of one table per span
-    rng = np.random.default_rng(14)
-    n, c = 101, 4  # one row trimmed per column
-    step = BLOCK_CELLS // n
-    x = np.column_stack([
-        rng.standard_normal(n) if k % 2 else rng.integers(0, 3, n).astype(float)
-        for k in range(3 * step + 5)
-    ])
-    y = rng.standard_normal(n)
-    config = SliceConfig(c=c, tie_seed=21)
-    whole = screen_all(Dataset(x, y), config, threads=1)
-    monkeypatch.setattr(estimator, "TABLE_CELLS", 1)
-    for threads in (1, 2):
-        chunked = screen_all(Dataset(x, y), config, threads=threads)
-        assert chunked.omega.tobytes() == whole.omega.tobytes()
-
-
 def test_a_wide_trimmed_screen_of_a_binary_response_draws_in_small_tables():
-    # two levels give a tiny kept-count table, but 31 trimmed rows per
-    # column make the draw's temporaries large: the draw must bound the span
+    # 31 of 95 rows trimmed: the kept rows are gathered a block at a time,
+    # never the whole design at once
     rng = np.random.default_rng(15)
     n, p = 95, 8192  # n mod 32 = 31
     data = Dataset(rng.standard_normal((n, p)), rng.integers(0, 2, n).astype(float))
@@ -470,10 +474,10 @@ def test_tie_free_blocks_work_in_the_workspace():
     x = rng.standard_normal((n, 4 * step))
     counts = rank_counts(rng.standard_normal(n))
     seeds = derive_seeds(3, x.shape[1])
-    first = estimator._omegas(x, counts, seeds, c, n // c, 0, x.shape[1])
+    first = estimator._omegas(x, None, counts, seeds, c, 0, x.shape[1])
     tracemalloc.start()
     try:
-        again = estimator._omegas(x, counts, seeds, c, n // c, 0, x.shape[1])
+        again = estimator._omegas(x, None, counts, seeds, c, 0, x.shape[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

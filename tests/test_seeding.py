@@ -1,9 +1,8 @@
 """The batched seed hash equals numpy's SeedSequence, compared as uint64
-bits; the vectorised tie-break keys equal SplitMix64, the trimming draw
-equals a literal Floyd's sample, and both are uniform."""
+bits; the vectorised tie-break keys equal SplitMix64 and order ties
+uniformly, and the dropped rows equal a literal Floyd's sample."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from sitscreen import estimator
 from sitscreen.errors import ConfigError
-from sitscreen.seeding import derive_seed, derive_seeds, tie_keys, trim_drops
+from sitscreen.seeding import derive_seed, derive_seeds, dropped_rows, tie_key, tie_keys
 
 EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
 seeds64 = st.one_of(
@@ -71,10 +70,12 @@ def test_tie_keys_equal_splitmix64(seed):
     assert got.dtype == np.uint64
 
 
-def floyd(seed, n, rem):
+def floyd(n, rem):
     """Floyd's sample of rem of range(n) from a set, one pick at a time,
-    from SplitMix64's outputs n..n + rem - 1 (its state jumped n steps)."""
-    keys = list(itertools.islice(splitmix64(seed + n * 0x9E3779B97F4A7C15 & MASK64), rem))
+    from the outputs n..n + rem - 1 of SplitMix64 from 0 (its state jumped
+    n steps), which are tie_key(0, n..n + rem - 1)."""
+    keys = list(itertools.islice(splitmix64(n * 0x9E3779B97F4A7C15 & MASK64), rem))
+    assert keys == [tie_key(0, n + t) for t in range(rem)]
     picked = set()
     order = []
     for t, j in enumerate(range(n - rem, n)):
@@ -88,29 +89,18 @@ def floyd(seed, n, rem):
     "n, rem", [(7, 3), (1000, 8), (1023, 31), (10_499, 299), (2**31 + 7, 3)]
 )
 def test_trim_drops_equal_a_literal_floyd(n, rem):
-    seeds = [0, 1, 2**63, 2**64 - 1, *range(2, 14)]
-    drops = trim_drops(np.array(seeds, dtype=np.uint64), n, rem)
-    assert drops.shape == (len(seeds), rem) and drops.dtype == np.int64
-    assert drops.tolist() == [floyd(s, n, rem) for s in seeds]
+    drops = dropped_rows(n, rem)
+    assert drops == floyd(n, rem)
+    assert len(set(drops)) == rem and all(0 <= i < n for i in drops)
 
 
-# chi-squared with 34 and 23 degrees of freedom: scipy.stats.chi2.ppf(0.999, df)
-CHI2_999 = {34: 65.2471, 23: 49.7282}
+# chi-squared with 23 degrees of freedom: scipy.stats.chi2.ppf(0.999, 23)
+CHI2_999_23 = 49.7282
 
 
 def chi_squared(counts, total):
     expected = total / len(counts)
     return sum((k - expected) ** 2 / expected for k in counts)
-
-
-def test_drop_sets_are_uniform():
-    # n = 7 at c = 4 drops 3 rows: 35 possible sets
-    drops = trim_drops(np.arange(35_000, dtype=np.uint64), 7, 3)
-    sets = {}
-    for row in np.sort(drops, axis=1).tolist():
-        sets[tuple(row)] = sets.get(tuple(row), 0) + 1
-    assert len(sets) == math.comb(7, 3)
-    assert chi_squared(list(sets.values()), 35_000) < CHI2_999[34]
 
 
 def test_tie_orders_are_uniform():
@@ -123,7 +113,7 @@ def test_tie_orders_are_uniform():
         key = tuple(ordered[1:5].tolist())
         orders[key] = orders.get(key, 0) + 1
     assert len(orders) == 24
-    assert chi_squared(list(orders.values()), 24_000) < CHI2_999[23]
+    assert chi_squared(list(orders.values()), 24_000) < CHI2_999_23
 
 
 @pytest.mark.parametrize("n", [8, 33])
