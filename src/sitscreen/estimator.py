@@ -31,16 +31,18 @@ tie-free float columns writes its keys, order, int32 ranks and
 numerators there and allocates no block-sized array, its slices sorted in
 place and its numerators taken by one ``np.einsum``.  A column is ordered
 by one in-place sort of integer keys that pack each value's level, its
-tie-break key and its position.  A column of integers less than 2**11
-apart (a genotype) takes its levels from its values, less the column
-minimum, and needs no other sort.  The other columns take one in-place float sort per block
-first: each value carries its row position in its low mantissa bits,
-which leaves values in distinct buckets in value order, so a column
-without near neighbours needs nothing more.  Only columns with ties (or
-values within a bucket's width of each other) are gathered and checked,
-and the tied ones take the key sort, their dense ranks as levels.  Only
-the columns that take the key sort compute tie-break keys, the counter-based
-keys of :func:`~sitscreen.seeding.tie_keys`, on whole arrays.  The response
+tie-break key and its position.  A column of an int8 design (a genotype
+held by ``Dataset`` at one byte a cell) takes its levels from its bytes, a
+float column of integers less than 2**11 apart from its values less the
+column minimum, and neither needs another sort.  The other columns take
+one in-place float sort per block first: each value carries its row
+position in its low mantissa bits, which leaves values in distinct
+buckets in value order, so a column without near neighbours needs
+nothing more.  Only columns with ties (or values within a bucket's width
+of each other) are gathered and checked, and the tied ones take the key
+sort, their dense ranks as levels.  Only the columns that take the key
+sort compute tie-break keys, the counter-based keys of
+:func:`~sitscreen.seeding.tie_keys`, on whole arrays.  The response
 is sorted once, by one ``np.unique`` into a level table (each observation's
 level, each level's size); the kernel's rank counts r and dispersion sums
 and the calibration all follow from it.  A trimmed sample drops the same
@@ -350,12 +352,13 @@ def _nearest(keys, xor):
 
 
 def _integer_levels(xt):
-    """The rows of ``xt`` whose values are all integers less than 2**11
-    apart (their indices, empty if none), and those rows' values less the
-    row minimum: uint64 levels below 2**11 that sort and tie as the values
-    do (-0.0 and 0.0 share one), since such a difference is exact.  Rows
-    are screened by their first value, so a block of floats costs one test
-    per row.
+    """The rows of the float64 block ``xt`` whose values are all integers
+    less than 2**11 apart (their indices, empty if none), and those rows'
+    values less the row minimum: uint64 levels below 2**11 that sort and
+    tie as the values do (-0.0 and 0.0 share one), since such a difference
+    is exact.  Rows are screened by their first value, so a block of floats
+    costs one test per row.  An int8 block never comes here: its bytes
+    give its levels (:func:`_omega_block`).
     """
     ints = [i for i, v in enumerate(xt[:, 0].tolist()) if v.is_integer()]
     if not ints:
@@ -376,7 +379,8 @@ def _tie_order(x, levels, key, order=None):
     its row: ``levels`` (uint64, overwritten) holds the levels of x at the
     positions ``order``, or in x's own order when ``order`` is None.
 
-    Levels come from :func:`_integer_levels` for an integer row (x less its
+    Levels come from the bytes of an int8 row (x + 128), from
+    :func:`_integer_levels` for a float row of integers (x less its
     minimum) and from :func:`_packed_order` for a tied float row (dense
     ranks in sorted order).  One in-place sort of integer keys: level << 53
     | key >> 11 with its low b bits replaced by the position, 2**b >= n.
@@ -515,10 +519,14 @@ def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
     included: a float block is copied only into the workspace's keys by
     :func:`_packed_order`.  ``seeds[j]`` is row j's tie seed.  Rows take the
     keys :func:`arrange_by_covariate` takes, but tie-break keys only when
-    they use them.  A row of integers less than 2**11 apart (a genotype)
-    takes its keys and one integer key sort (:func:`_tie_order`) without
-    the float sort; its keys cannot change the order of such a row without
-    ties.  Other rows take one float sort of packed keys
+    they use them.  Every row of an int8 block, and a float row of integers
+    less than 2**11 apart, takes its keys and one integer key sort
+    (:func:`_tie_order`) without the float sort; its keys cannot change the
+    order of such a row without ties.  The int8 block's levels are its
+    bytes with the sign bit flipped, x + 128 below 2**8, in one pass, and
+    it skips :func:`_integer_levels`: the levels differ from the float
+    path's by a shift per row, so the order and the bits are the same.
+    Other float rows take one float sort of packed keys
     (:func:`_packed_order`), and those with ties then the key sort.
 
     A block of tie-free float rows, the common case, works in the workspace
@@ -531,7 +539,12 @@ def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
     its operands stay below 2**53 (:func:`_ratio`).
     """
     p, n_eff = xt.shape
-    ints, int_levels = _integer_levels(xt)
+    if xt.dtype == np.int8:
+        # x + 128 in one pass: the byte with its sign bit flipped
+        ints, int_levels = np.arange(p), np.empty(xt.shape, dtype=np.uint64)
+        np.bitwise_xor(xt.view(np.uint8), np.uint8(0x80), out=int_levels)
+    else:
+        ints, int_levels = _integer_levels(xt)
     if not len(ints):
         order, tied, levels = _packed_order(xt, ws)
     elif ints.size == p:
@@ -583,10 +596,10 @@ def _trim(counts: RankCounts, c: int):
 
 
 def _omegas(x, kept, counts: RankCounts, seeds, c, start, stop) -> np.ndarray:
-    """Statistic of columns ``start:stop`` of the (n, p) design ``x``, column
-    k with the tie seed ``seeds[k]`` (a uint64 array), on the rows ``kept``
-    of :func:`_trim` (every row when None), whose response has the level
-    table ``counts``.
+    """Statistic of columns ``start:stop`` of the (n, p) float64 or int8
+    design ``x``, column k with the tie seed ``seeds[k]`` (a uint64 array),
+    on the rows ``kept`` of :func:`_trim` (every row when None), whose
+    response has the level table ``counts``.
 
     The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
     time, each block a transposed view of ``x``, or of its kept rows when

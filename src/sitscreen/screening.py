@@ -43,7 +43,8 @@ from .seeding import derive_seeds, rng_from_seed
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 
-# Cells per finiteness check of a Dataset (a 64 KB boolean).
+# Cells per chunk of a Dataset's checks of x, its int8 probe and its
+# finiteness scan (a 64 KB boolean).
 FINITE_CELLS = 2**16
 
 @dataclass(frozen=True)
@@ -52,7 +53,11 @@ class Dataset:
 
     ``names`` is optional; when present it must list one unique label per
     covariate column.  All entries must be finite.  ``y`` is a read-only
-    copy of the response given.
+    float64 copy of the response given.  ``x`` is int8 when every entry is
+    an integer in [-128, 127] (a genotype design, 1 byte a cell): an int8
+    input as it is, anything else as a C-ordered int8 copy, -0.0 read as 0.
+    Every other design is float64, a float64 input uncopied.  Both screen to
+    the same bits: the statistic reads orderings alone.
     """
 
     x: np.ndarray
@@ -60,7 +65,9 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = np.asarray(self.x)
+        if x.dtype.kind not in "biu":
+            x = np.asarray(x, dtype=np.float64)
         # a read-only copy, so the cached level table cannot go stale
         y = np.array(self.y, dtype=np.float64)
         y.setflags(write=False)
@@ -70,13 +77,9 @@ class Dataset:
             raise ConfigError("response length must match the number of rows")
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ConfigError("need at least one row and one column")
-        # a few rows at a time, so the check's boolean stays small
-        rows = max(1, FINITE_CELLS // x.shape[1])
-        if not (
-            np.isfinite(y).all()
-            and all(np.isfinite(x[lo : lo + rows]).all() for lo in range(0, x.shape[0], rows))
-        ):
+        if not np.isfinite(y).all():
             raise ConfigError("all entries must be finite")
+        x = _design(x)
         if self.names is not None:
             names = tuple(str(v) for v in self.names)
             if len(names) != x.shape[1]:
@@ -100,6 +103,38 @@ class Dataset:
         """The response's level table, taken on first use: its one sort,
         shared by the calibration and every screen of this dataset."""
         return rank_counts(self.y)
+
+
+def _design(x: np.ndarray) -> np.ndarray:
+    """The 2-D design ``x`` (bool, integer or float64) as int8 when every
+    entry is an integer in [-128, 127], an int8 ``x`` as it is; else as
+    float64, refused unless every entry is finite.
+
+    Both checks take FINITE_CELLS cells at a time, so their temporaries stay
+    small.  The first row turns a float design away for one row's test.
+    Otherwise x is cast into the int8 buffer a chunk at a time and each
+    chunk compared back: a value out of range or not an integer differs
+    from its cast, and so do NaN and inf, which compare equal to nothing,
+    so an int8 result needs no finiteness scan.  The casts of such values
+    would warn.
+    """
+    if x.dtype == np.int8:
+        return x
+    rows = max(1, FINITE_CELLS // x.shape[1])
+    with np.errstate(invalid="ignore"):
+        if (x[0].astype(np.int8) == x[0]).all():
+            small = np.empty(x.shape, dtype=np.int8)
+            for lo in range(0, x.shape[0], rows):
+                chunk = small[lo : lo + rows]
+                np.copyto(chunk, x[lo : lo + rows], casting="unsafe")
+                if not (chunk == x[lo : lo + rows]).all():
+                    break
+            else:
+                return small
+    x = np.asarray(x, dtype=np.float64)
+    if not all(np.isfinite(x[lo : lo + rows]).all() for lo in range(0, x.shape[0], rows)):
+        raise ConfigError("all entries must be finite")
+    return x
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,8 @@ def run_replication(
         threads=threads,
     )
     active = model.active_set
-    inactive = np.setdiff1d(np.arange(design.p), np.asarray(active, dtype=np.intp))
+    inactive = np.ones(design.p, dtype=bool)
+    inactive[list(active)] = False
     rank_consistent = bool(
         result.omega[list(active)].min() > result.omega[inactive].max()
     )

@@ -200,7 +200,9 @@ def _outcome(path):
         data = ingest_csv(path, "y")
     except SitScreenError as err:
         return type(err), str(err).replace(str(path), "<path>")
-    return data.names, data.x.shape, data.x.view(np.uint64).tolist(), data.y.view(np.uint64).tolist()
+    # dtype and bytes: an all-integer file gives an int8 design
+    return (data.names, data.x.shape, (data.x.dtype.str, data.x.tobytes()),
+            (data.y.dtype.str, data.y.tobytes()))
 
 
 @pytest.mark.parametrize("text", [

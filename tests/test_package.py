@@ -33,3 +33,17 @@ def test_import_skips_scipy_and_oracle(child_env):
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env=child_env, check=True)
         assert proc.stdout.strip() == "[]", module
+
+
+def test_a_replication_skips_numpy_ma(child_env):
+    # np.setdiff1d imports numpy.ma (about 10 ms) on first use; a simulate
+    # child must not pay that
+    probe = ("import sys\n"
+             "from sitscreen import DesignSpec, ModelSpec, ThresholdRule\n"
+             "from sitscreen.simlab import run_replication\n"
+             "run_replication(DesignSpec(n=64, p=40, rho=0.5), ModelSpec(id='a1'), 8,\n"
+             "                [ThresholdRule(kind='by', q=0.1)], 0, 3)\n"
+             "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=child_env, check=True)
+    assert proc.stdout.strip() == "False"

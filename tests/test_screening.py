@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,106 @@ def test_dataset_refuses_a_non_finite_entry_anywhere(at):
     with pytest.raises(ConfigError, match="finite"):
         Dataset(x, y)
 
+
+
+def _int8_column(rng, kind, n):
+    if kind == "genotype":
+        return rng.binomial(2, rng.uniform(0.05, 0.5), n).astype(float)
+    if kind == "full-range":
+        return rng.integers(-128, 128, n).astype(float)
+    if kind == "extremes":
+        return rng.choice([-128.0, -0.0, 0.0, 127.0], n)
+    return np.full(n, -0.0)  # constant
+
+
+INT8_KINDS = ("genotype", "full-range", "extremes", "constant")
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(33, 200), st.sampled_from([3, 4, 8, 32]), st.integers(0, 2**32 - 1),
+       st.booleans(), st.integers(1, 24))
+def test_an_int8_design_screens_as_its_float_columns(n, c, master, tied_y, extra):
+    # integer columns held as int8 take their levels from their bytes;
+    # inside a float design they take the float path's integer levels
+    assume(n // c >= 2)
+    kept = np.delete(np.arange(n), dropped_rows(n, n % c))
+    step = BLOCK_CELLS // kept.size
+    p = step + extra
+    rng = np.random.default_rng(master)
+    kinds = rng.choice(INT8_KINDS, p)
+    kinds[[0, step - 1, step, p - 1]] = rng.choice(INT8_KINDS[:3], 4)
+    x = np.column_stack([_int8_column(rng, kind, n) for kind in kinds])
+    y = rng.permutation(np.arange(n) % 3).astype(float) if tied_y else rng.standard_normal(n)
+    assume(np.unique(y[kept]).size > 1)
+    small = Dataset(x, y)
+    wide = Dataset(np.column_stack([x, rng.standard_normal(n)]), y)
+    assert (small.x.dtype, wide.x.dtype) == (np.int8, np.float64)
+    config = SliceConfig(c=c, tie_seed=master)
+    for threads in (1, 2, 8):
+        result = screen_all(small, config, threads=threads)
+        expected = screen_all(wide, config, threads=threads)
+        for field in ("omega", "z", "p_values"):
+            assert getattr(result, field).tobytes() == getattr(expected, field)[:p].tobytes()
+        assert result.order.tobytes() == expected.order[expected.order != p].tobytes()
+    for k in {0, step - 1, step, p - 1, *rng.integers(0, p, 3).tolist()}:
+        column = SliceConfig(c=c, tie_seed=derive_seed(master, k))
+        assert result.omega[k] == oracle_estimate(PairedSample(x[:, k], y), column)
+
+
+@pytest.mark.parametrize("row", [0, 3 * (screening.FINITE_CELLS // 64)])
+@pytest.mark.parametrize("value, dtype", [
+    (127.0, np.int8), (-128.0, np.int8), (-0.0, np.int8),
+    (128.0, np.float64), (-129.0, np.float64), (0.5, np.float64), (1e300, np.float64),
+    (np.nan, None), (np.inf, None), (-np.inf, None),
+])
+def test_the_int8_probe_reads_every_cell(row, value, dtype):
+    # the first row, then FINITE_CELLS cells at a time; a value the probe
+    # turns away keeps float64, and a non-finite one today's refusal
+    x = np.random.default_rng(4).integers(-3, 3, (3 * (screening.FINITE_CELLS // 64) + 1, 64))
+    x = x.astype(float)
+    x[row, 63] = value
+    y = np.arange(x.shape[0], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if dtype is None:
+            with pytest.raises(ConfigError, match="all entries must be finite"):
+                Dataset(x, y)
+            return
+        data = Dataset(x, y)
+    assert data.x.dtype == dtype and data.x.flags.c_contiguous
+    assert np.array_equal(data.x, x)
+
+
+def test_an_int8_design_is_kept_and_a_bool_one_is_cast():
+    rng = np.random.default_rng(6)
+    x, y = rng.integers(-128, 128, (40, 5), dtype=np.int8), rng.standard_normal(40)
+    assert Dataset(x, y).x is x
+    strided = x[:, ::2]
+    assert Dataset(strided, y).x is strided  # in any layout
+    flags = rng.random((40, 5)) < 0.5
+    data = Dataset(flags, y)
+    assert data.x.dtype == np.int8 and np.array_equal(data.x, flags)
+    config = SliceConfig(c=4, tie_seed=2)
+    screened = screen_all(data, config, threads=1).omega.tobytes()
+    assert screened == screen_all(Dataset(flags + 0.5, y), config, threads=1).omega.tobytes()
+    wide = np.array([[300, 1], [2, 3]] * 10)  # int64 out of the int8 range
+    assert Dataset(wide, np.arange(20.0)).x.dtype == np.float64
+
+
+def test_a_float_genotype_design_becomes_int8_in_small_chunks():
+    rng = np.random.default_rng(8)
+    x = rng.binomial(2, 0.3, (2000, 1000)).astype(float)
+    y = rng.standard_normal(2000)
+    Dataset(x[:2], y[:2])  # first-call set-up
+    tracemalloc.start()
+    try:
+        data = Dataset(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.x.dtype == np.int8
+    # the int8 copy, and two float64 chunks of FINITE_CELLS cells at most
+    assert peak < x.nbytes / 8 + 2 * 8 * screening.FINITE_CELLS
 
 def _packed_column(rng, kind, n, c):
     run = 1.0 + rng.permutation(n) * 2.0**-52  # distinct values in one bucket
