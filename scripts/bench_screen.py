@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process ``screen_all`` timings of the untrimmed, trimmed and tied paths.
 
-Three workloads, each timed at one and at two threads (c = 32):
+Five workloads, each timed at one and at two threads (c = 32):
 
 - ``wide_gaussian``: a 1024x5000 Gaussian design, nothing trimmed, no
   ties: the float path alone, which a change to the tied or integer paths
@@ -9,7 +9,11 @@ Three workloads, each timed at one and at two threads (c = 32):
 - ``trimmed_gaussian``: a 1000x5000 Gaussian design, 8 rows trimmed per
   column, no ties;
 - ``genotypes``: a 1000x1000 design of {0, 1, 2} genotypes, every column
-  tied and trimmed, with a tied response (the plug-in calibration).
+  tied and trimmed, with a tied response (the plug-in calibration);
+- ``counts``: the same with Poisson(300) counts in place of genotypes, an
+  integer design too wide for int8;
+- ``mixed_genotypes``: the genotypes plus one Gaussian column, a float
+  design whose integer columns take the float sort.
 
 Every measurement is one child process: it makes the data from --seed,
 screens once to warm up, then times --calls calls, and records the minor
@@ -44,7 +48,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WORKLOADS = ("wide_gaussian", "trimmed_gaussian", "genotypes")
+WORKLOADS = ("wide_gaussian", "trimmed_gaussian", "genotypes", "counts", "mixed_genotypes")
 THREADS = (1, 2)
 
 
@@ -68,8 +72,14 @@ def make_data(package, workload, seed):
         n = 1024 if workload == "wide_gaussian" else 1000
         x = rng.standard_normal((n, 5000))
         return package.Dataset(x, x[:, :10].sum(axis=1) + rng.standard_normal(n))
-    x = rng.binomial(2, rng.uniform(0.05, 0.5, 1000), (1000, 1000)).astype(float)
-    return package.Dataset(x, np.rint(x[:, :20].sum(axis=1) + rng.standard_normal(1000)))
+    if workload == "counts":
+        x = rng.poisson(300, (1000, 1000)).astype(float)
+    else:
+        x = rng.binomial(2, rng.uniform(0.05, 0.5, 1000), (1000, 1000)).astype(float)
+    y = np.rint(x[:, :20].sum(axis=1) + rng.standard_normal(1000))
+    if workload == "mixed_genotypes":
+        x = np.column_stack([x, rng.standard_normal(1000)])
+    return package.Dataset(x, y)
 
 
 def child(srcs, workload, threads, calls, seed):

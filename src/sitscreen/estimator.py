@@ -31,10 +31,10 @@ tie-free float columns writes its keys, order, int32 ranks and
 numerators there and allocates no block-sized array, its slices sorted in
 place and its numerators taken by one ``np.einsum``.  A column is ordered
 by one in-place sort of integer keys that pack each value's level, its
-tie-break key and its position.  A column of an int8 design (a genotype
-held by ``Dataset`` at one byte a cell) takes its levels from its bytes, a
-float column of integers less than 2**11 apart from its values less the
-column minimum, and neither needs another sort.  The other columns take
+tie-break key and its position.  A column of an int8 or int16 design (an
+integer design held by ``Dataset`` at one or two bytes a cell, such as
+genotypes or counts) takes its levels from its bits and needs no other
+sort; the design's dtype is the only integer test.  Float columns take
 one in-place float sort per block first: each value carries its row
 position in its low mantissa bits, which leaves values in distinct
 buckets in value order, so a column without near neighbours needs
@@ -99,6 +99,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _exact(a) -> np.ndarray:
+    """``a`` as an array, refused unless float64 holds each entry exactly:
+    complex input would lose its imaginary part, and integers beyond
+    +-2**53 may round (64 distinct int64 values near 2**60 to one)."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ConfigError("entries must be real: float64 would drop the imaginary part")
+    wide = a.dtype.kind in "iu" and a.dtype.itemsize == 8 and a.size
+    if wide and (a.min() < -(2**53) or a.max() > 2**53):
+        raise ConfigError(
+            "integer entries must lie within +-2**53, where float64 holds every integer"
+        )
+    return a
+
+
 @dataclass(frozen=True)
 class SliceConfig:
     """The caller's slicing choices: c observations per slice, a tie seed.
@@ -139,14 +154,15 @@ class SliceConfig:
 
 @dataclass(frozen=True)
 class PairedSample:
-    """One covariate/response pair of equal-length finite float vectors."""
+    """One covariate/response pair of equal-length finite float vectors;
+    entries float64 cannot hold exactly are refused (:func:`_exact`)."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        x = np.asarray(_exact(self.x), dtype=np.float64)
+        y = np.asarray(_exact(self.y), dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:
             raise ConfigError("x and y must be one-dimensional")
         if x.shape[0] != y.shape[0]:
@@ -351,53 +367,29 @@ def _nearest(keys, xor):
     return np.minimum.reduce(xor[:, 1:], axis=1)
 
 
-def _integer_levels(xt):
-    """The rows of the float64 block ``xt`` whose values are all integers
-    less than 2**11 apart (their indices, empty if none), and those rows'
-    values less the row minimum: uint64 levels below 2**11 that sort and
-    tie as the values do (-0.0 and 0.0 share one), since such a difference
-    is exact.  Rows are screened by their first value, so a block of floats
-    costs one test per row.  An int8 block never comes here: its bytes
-    give its levels (:func:`_omega_block`).
-    """
-    ints = [i for i, v in enumerate(xt[:, 0].tolist()) if v.is_integer()]
-    if not ints:
-        return ints, None
-    ints = np.array(ints)
-    rows = xt if ints.size == xt.shape[0] else xt[ints]
-    lo = rows.min(axis=1, keepdims=True)
-    ok = (rows.max(axis=1) < lo[:, 0] + 2**11) & (np.rint(rows) == rows).all(axis=1)
-    if not ok.all():
-        ints, rows, lo = ints[ok], rows[ok], lo[ok]
-    levels = np.empty(rows.shape, dtype=np.uint64)
-    np.subtract(rows, lo, out=levels, casting="unsafe")
-    return ints, levels
-
-
 def _tie_order(x, levels, key, order=None):
     """``np.lexsort((key, x), axis=1)``, given each value's integer level in
     its row: ``levels`` (uint64, overwritten) holds the levels of x at the
     positions ``order``, or in x's own order when ``order`` is None.
 
-    Levels come from the bytes of an int8 row (x + 128), from
-    :func:`_integer_levels` for a float row of integers (x less its
-    minimum) and from :func:`_packed_order` for a tied float row (dense
-    ranks in sorted order).  One in-place sort of integer keys: level << 53
-    | key >> 11 with its low b bits replaced by the position, 2**b >= n.
-    The sorted keys' low bits are the order, returned in the ``levels``
-    buffer.  It stands unless two neighbours share their high 64 - b bits
-    (tie-break keys equal in their top 53 - b bits) or a level reaches
-    2**11 (a float row of more than 2**11 distinct values): those rows take
-    the lexsort.  A row's tie-break keys are distinct, so either way no
-    position decides the order.
+    Levels come from the bits of an int8 or int16 row with the sign bit
+    flipped (x + 2**7 or x + 2**15) and from :func:`_packed_order` for a
+    tied float row (dense ranks in sorted order).  One in-place sort of
+    integer keys: level << 48 | key >> 16 with its low b bits replaced by
+    the position, 2**b >= n.  The sorted keys' low bits are the order,
+    returned in the ``levels`` buffer.  It stands unless two neighbours
+    share their high 64 - b bits (tie-break keys equal in their top 48 - b
+    bits) or a level reaches 2**16 (a float row of more than 2**16 distinct
+    values): those rows take the lexsort.  A row's tie-break keys are
+    distinct, so either way no position decides the order.
     """
     n = x.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    many = levels.max(axis=1) >= 2**11
+    many = levels.max(axis=1) >= 2**16
     keys = levels
-    keys <<= np.uint64(53)
+    keys <<= np.uint64(48)
     bits = key.copy() if order is None else _take_rows(key, order)
-    bits >>= np.uint64(11)
+    bits >>= np.uint64(16)
     bits &= ~low
     keys |= bits
     keys |= np.arange(n, dtype=np.uint64) if order is None else order.view(np.uint64)
@@ -453,8 +445,8 @@ def _packed_order(xt, ws: _Workspace):
     values within 2**b ulps, are gathered by that order (the block itself when
     every row is near): it stands if it sorts the row, and a row it does not
     sort (positions inside a bucket follow the row, not the values) takes
-    argsort and sort.  Rows of integers less than 2**11 apart never come here:
-    their values give their levels (:func:`_integer_levels`).  The keys, the
+    argsort and sort.  Every float row comes here, a row of integers too;
+    an int8 or int16 block never does (:func:`_omega_block`).  The keys, the
     XOR and the order are written into the workspace ``ws``, and the
     returned order is a view of it.
     """
@@ -519,14 +511,12 @@ def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
     included: a float block is copied only into the workspace's keys by
     :func:`_packed_order`.  ``seeds[j]`` is row j's tie seed.  Rows take the
     keys :func:`arrange_by_covariate` takes, but tie-break keys only when
-    they use them.  Every row of an int8 block, and a float row of integers
-    less than 2**11 apart, takes its keys and one integer key sort
-    (:func:`_tie_order`) without the float sort; its keys cannot change the
-    order of such a row without ties.  The int8 block's levels are its
-    bytes with the sign bit flipped, x + 128 below 2**8, in one pass, and
-    it skips :func:`_integer_levels`: the levels differ from the float
-    path's by a shift per row, so the order and the bits are the same.
-    Other float rows take one float sort of packed keys
+    they use them.  The block's dtype is the one integer decision.  Every
+    row of an int8 or int16 block (an integer design as ``Dataset`` holds
+    it) takes its keys and one integer key sort (:func:`_tie_order`), its
+    levels its bits with the sign bit flipped, x + 2**7 or x + 2**15 below
+    2**16, in one pass; its keys cannot change the order of a row without
+    ties.  Every row of a float block takes one float sort of packed keys
     (:func:`_packed_order`), and those with ties then the key sort.
 
     A block of tie-free float rows, the common case, works in the workspace
@@ -539,27 +529,17 @@ def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
     its operands stay below 2**53 (:func:`_ratio`).
     """
     p, n_eff = xt.shape
-    if xt.dtype == np.int8:
-        # x + 128 in one pass: the byte with its sign bit flipped
-        ints, int_levels = np.arange(p), np.empty(xt.shape, dtype=np.uint64)
-        np.bitwise_xor(xt.view(np.uint8), np.uint8(0x80), out=int_levels)
+    if xt.dtype.kind == "i":
+        # x + 2**7 or x + 2**15 in one pass: the bits with the sign bit flipped
+        bits = xt.view(f"u{xt.itemsize}")
+        levels = np.empty(xt.shape, dtype=np.uint64)
+        np.bitwise_xor(bits, bits.dtype.type(1 << 8 * xt.itemsize - 1), out=levels)
+        order = _tie_order(xt, levels, tie_keys(seeds[:, None], ws.pos))
     else:
-        ints, int_levels = _integer_levels(xt)
-    if not len(ints):
         order, tied, levels = _packed_order(xt, ws)
-    elif ints.size == p:
-        key = tie_keys(seeds[ints, None], ws.pos)
-        order, tied = _tie_order(xt, int_levels, key), ints[:0]
-    else:
-        order, tied = np.empty((p, n_eff), dtype=np.int64), ints[:0]
-        floats = np.delete(np.arange(p), ints)
-        order[floats], tied, levels = _packed_order(xt[floats], ws)
-        tied = floats[tied]
-        key = tie_keys(seeds[ints, None], ws.pos)
-        order[ints] = _tie_order(xt[ints], int_levels, key)
-    if tied.size:
-        key = tie_keys(seeds[tied, None], ws.pos)
-        order[tied] = _tie_order(xt[tied], levels, key, order[tied])
+        if tied.size:
+            key = tie_keys(seeds[tied, None], ws.pos)
+            order[tied] = _tie_order(xt[tied], levels, key, order[tied])
     sliced = ws.ranks[:p]
     if counts.r.dtype == sliced.dtype:
         np.take(counts.r, order, out=sliced, mode="clip")  # every index is in range
@@ -596,8 +576,8 @@ def _trim(counts: RankCounts, c: int):
 
 
 def _omegas(x, kept, counts: RankCounts, seeds, c, start, stop) -> np.ndarray:
-    """Statistic of columns ``start:stop`` of the (n, p) float64 or int8
-    design ``x``, column k with the tie seed ``seeds[k]`` (a uint64 array),
+    """Statistic of columns ``start:stop`` of the (n, p) float64, int8 or
+    int16 design ``x``, column k with the tie seed ``seeds[k]`` (a uint64 array),
     on the rows ``kept`` of :func:`_trim` (every row when None), whose
     response has the level table ``counts``.
 
@@ -729,8 +709,9 @@ def p_value_from_z(z: float | np.ndarray) -> np.float64 | np.ndarray:
 
 def auto_calibration(y: np.ndarray) -> VarianceCalibration:
     """Fixed 4/5 calibration for tie-free responses, plug-in otherwise.  A
-    response that is not 1-D, not finite or under 2 values is refused."""
-    y = np.asarray(y, dtype=np.float64)
+    response that is not 1-D, not finite, not held exactly by float64
+    (:func:`_exact`) or under 2 values is refused."""
+    y = np.asarray(_exact(y), dtype=np.float64)
     if y.ndim != 1:
         raise ConfigError("the response must be one-dimensional")
     if not np.isfinite(y).all():

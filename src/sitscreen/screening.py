@@ -33,6 +33,7 @@ from .estimator import (
     RankCounts,
     SliceConfig,
     VarianceCalibration,
+    _exact,
     _omegas,
     _trim,
     p_value_from_z,
@@ -43,8 +44,8 @@ from .seeding import derive_seeds, rng_from_seed
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 
-# Cells per chunk of a Dataset's checks of x, its int8 probe and its
-# finiteness scan (a 64 KB boolean).
+# Cells per chunk of a Dataset's checks of x, its int8 and int16 probes and
+# its finiteness scan (a 64 KB boolean).
 FINITE_CELLS = 2**16
 
 @dataclass(frozen=True)
@@ -52,12 +53,15 @@ class Dataset:
     """An n x p covariate matrix with a paired response vector.
 
     ``names`` is optional; when present it must list one unique label per
-    covariate column.  All entries must be finite.  ``y`` is a read-only
-    float64 copy of the response given.  ``x`` is int8 when every entry is
-    an integer in [-128, 127] (a genotype design, 1 byte a cell): an int8
-    input as it is, anything else as a C-ordered int8 copy, -0.0 read as 0.
-    Every other design is float64, a float64 input uncopied.  Both screen to
-    the same bits: the statistic reads orderings alone.
+    covariate column.  All entries must be finite, and held exactly by
+    float64: complex entries and integers beyond +-2**53 are refused.
+    ``y`` is a read-only float64 copy of the response given.  ``x`` is int8
+    when every entry is an integer in [-128, 127] (a genotype design, 1 byte
+    a cell), else int16 when every entry is an integer in [-32768, 32767]
+    (counts, 2 bytes a cell): an int8 or int16 input as it is, anything else
+    as a C-ordered copy, -0.0 read as 0.  Every other design is float64, a
+    float64 input uncopied.  All three screen to the same bits: the
+    statistic reads orderings alone.
     """
 
     x: np.ndarray
@@ -65,11 +69,11 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x)
+        x = _exact(self.x)
         if x.dtype.kind not in "biu":
             x = np.asarray(x, dtype=np.float64)
         # a read-only copy, so the cached level table cannot go stale
-        y = np.array(self.y, dtype=np.float64)
+        y = np.array(_exact(self.y), dtype=np.float64)
         y.setflags(write=False)
         if x.ndim != 2:
             raise ConfigError("covariates must form a 2-D matrix")
@@ -107,30 +111,32 @@ class Dataset:
 
 def _design(x: np.ndarray) -> np.ndarray:
     """The 2-D design ``x`` (bool, integer or float64) as int8 when every
-    entry is an integer in [-128, 127], an int8 ``x`` as it is; else as
+    entry is an integer in [-128, 127], else as int16 when every entry is
+    an integer in [-32768, 32767], an int8 or int16 ``x`` as it is; else as
     float64, refused unless every entry is finite.
 
     Both checks take FINITE_CELLS cells at a time, so their temporaries stay
-    small.  The first row turns a float design away for one row's test.
-    Otherwise x is cast into the int8 buffer a chunk at a time and each
-    chunk compared back: a value out of range or not an integer differs
-    from its cast, and so do NaN and inf, which compare equal to nothing,
-    so an int8 result needs no finiteness scan.  The casts of such values
-    would warn.
+    small.  For each of int8 and int16 in turn, the first row turns a float
+    design away for one row's test.  Otherwise x is cast into the integer
+    buffer a chunk at a time and each chunk compared back: a value out of
+    range or not an integer differs from its cast, and so do NaN and inf,
+    which compare equal to nothing, so an integer result needs no
+    finiteness scan.  The casts of such values would warn.
     """
-    if x.dtype == np.int8:
+    if x.dtype in (np.int8, np.int16):
         return x
     rows = max(1, FINITE_CELLS // x.shape[1])
     with np.errstate(invalid="ignore"):
-        if (x[0].astype(np.int8) == x[0]).all():
-            small = np.empty(x.shape, dtype=np.int8)
-            for lo in range(0, x.shape[0], rows):
-                chunk = small[lo : lo + rows]
-                np.copyto(chunk, x[lo : lo + rows], casting="unsafe")
-                if not (chunk == x[lo : lo + rows]).all():
-                    break
-            else:
-                return small
+        for dtype in (np.int8, np.int16):
+            if (x[0].astype(dtype) == x[0]).all():
+                small = np.empty(x.shape, dtype=dtype)
+                for lo in range(0, x.shape[0], rows):
+                    chunk = small[lo : lo + rows]
+                    np.copyto(chunk, x[lo : lo + rows], casting="unsafe")
+                    if not (chunk == x[lo : lo + rows]).all():
+                        break
+                else:
+                    return small
     x = np.asarray(x, dtype=np.float64)
     if not all(np.isfinite(x[lo : lo + rows]).all() for lo in range(0, x.shape[0], rows)):
         raise ConfigError("all entries must be finite")

@@ -20,7 +20,6 @@ from sitscreen.estimator import (
     FIXED_SIGMA_SQ,
     RankCounts,
     _exact_sum,
-    _integer_levels,
     _ndtr,
     _packed_order,
     _ratio,
@@ -549,28 +548,32 @@ class TestTieOrder:
         assert_lexsort_order(x, rng.random(x.shape))
 
     def test_many_levels_fall_back(self):
+        # a level reaches 2**16 only in a float row of more distinct values
         rng = np.random.default_rng(3)
-        x = np.stack([rng.permutation(3000).astype(float) for _ in range(3)])
-        x[:, 7] = x[:, 11]  # one tie among 2,999 levels
+        x = np.stack([rng.permutation(2**16 + 500).astype(float) for _ in range(3)])
+        x[:, 7] = x[:, 11]  # one tie among 2**16 + 499 levels
         x[1] = np.round(x[1] / 1000)  # a row with few levels stays packed
         assert_lexsort_order(x, rng.random(x.shape))
 
     def test_integer_levels_in_place(self):
-        # an integer row's levels are its values less the row minimum, in
-        # the row's own order: no float sort and no gather
+        # an int8 or int16 row's levels are its bits with the sign bit
+        # flipped, in the row's own order: no float sort and no gather
         rng = np.random.default_rng(5)
-        x = np.stack([
-            rng.integers(-7, 3, 1000),
-            np.r_[0, 2047, rng.integers(0, 2048, 998)],
-            rng.permutation(1000) - 500,
-            rng.choice([-0.0, 0.0, 1.0], 1000),
-            2.0**53 + 2 * rng.integers(0, 3, 1000),
-        ]).astype(float)
-        u = rng.random(x.shape)
-        u[4, 1::2] = u[4, ::2]  # equal pairs: the row falls back
-        levels = (x - x.min(axis=1, keepdims=True)).astype(np.uint64)
-        out = _tie_order(x, levels, tie_keys_of(u))
-        assert np.array_equal(out, np.lexsort((u, x), axis=1))
+        for dtype in (np.int8, np.int16):
+            lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+            x = np.stack([
+                rng.integers(-7, 3, 1000),
+                np.r_[lo, hi, rng.integers(lo, hi + 1, 998)],
+                rng.permutation(1000) % (hi + 1) - 50,
+                rng.choice([lo, -1, 0, hi], 1000),
+                rng.integers(0, 3, 1000),
+            ]).astype(dtype)
+            u = rng.random(x.shape)
+            u[4, 1::2] = u[4, ::2]  # equal pairs: the row falls back
+            unsigned = x.view(f"u{x.itemsize}")
+            levels = (unsigned ^ unsigned.dtype.type(-int(lo))).astype(np.uint64)
+            out = _tie_order(x, levels, tie_keys_of(u))
+            assert np.array_equal(out, np.lexsort((u, x), axis=1))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 40), st.data())
@@ -580,30 +583,6 @@ class TestTieOrder:
         eighths = st.integers(0, 7).map(lambda k: k / 8)
         u = np.array(data.draw(st.lists(eighths, min_size=rows * n, max_size=rows * n)))
         assert_lexsort_order(x.reshape(rows, n), u.reshape(rows, n))
-
-
-def test_integer_levels_take_integer_rows_under_2_11_apart():
-    rng = np.random.default_rng(6)
-    n = 600
-    rows = {
-        "genotype": rng.binomial(2, 0.3, n),
-        "negative": rng.integers(-9, -2, n),
-        "range 2047": np.r_[-1000, 1047, rng.integers(-1000, 1048, n - 2)],
-        "range 2048": np.r_[0, 2048, rng.integers(0, 2049, n - 2)],
-        "signed zeros": rng.choice([-0.0, 0.0, 2.0], n),
-        "2**53": 2.0**53 + 2 * rng.integers(0, 4, n),
-        "half": np.r_[1.0, 0.5, rng.integers(0, 3, n - 2)],
-        "gaussian": rng.standard_normal(n),
-        "permutation": rng.permutation(n),
-        "extremes": rng.choice([-1e308, 0.0, 1e308], n),  # a range past the largest float
-    }
-    xt = np.stack(list(rows.values())).astype(float)
-    ints, levels = _integer_levels(xt)
-    refused = ("range 2048", "half", "gaussian", "extremes")
-    names = [name for name in rows if name not in refused]
-    assert ints.tolist() == [list(rows).index(name) for name in names]
-    expected = xt[ints] - xt[ints].min(axis=1, keepdims=True)
-    assert levels.dtype == np.uint64 and (levels == expected).all()
 
 
 class TestPackedOrder:

@@ -501,39 +501,82 @@ def test_dataset_refuses_a_non_finite_entry_anywhere(at):
         Dataset(x, y)
 
 
+@pytest.mark.parametrize("kind", ["int64", "negative-int64", "uint64", "complex"])
+@pytest.mark.parametrize("where", ["x", "y", "sample-x", "sample-y", "calibration"])
+def test_entries_float64_cannot_hold_are_refused(kind, where):
+    # 64 distinct integers near 2**60 would round to one float64 and screen
+    # as a constant; a complex entry would lose its imaginary part
+    big = 2**60 + np.arange(64, dtype=np.int64)
+    values = {"int64": big, "negative-int64": -big, "uint64": big.astype(np.uint64),
+              "complex": np.arange(64) + 1j}[kind]
+    other = np.arange(64.0)
+    build = {
+        "x": lambda: Dataset(values[:, None], other),
+        "y": lambda: Dataset(other[:, None], values),
+        "sample-x": lambda: PairedSample(values, other),
+        "sample-y": lambda: PairedSample(other, values),
+        "calibration": lambda: auto_calibration(values),
+    }[where]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="imaginary" if kind == "complex" else r"2\*\*53"):
+            build()
 
-def _int8_column(rng, kind, n):
+
+def test_integers_up_to_2_53_screen_as_their_ranks():
+    edge = np.r_[2**53, -(2**53), 2**53 - 1 - np.arange(62)].astype(np.int64)
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal(64)
+    x = np.column_stack([edge, rng.permutation(edge)])
+    ranks = np.argsort(np.argsort(x, axis=0), axis=0).astype(float)
+    config = SliceConfig(c=4, tie_seed=3)
+    result = screen_all(Dataset(x, y), config, threads=1)
+    assert result.omega.tobytes() == screen_all(Dataset(ranks, y), config, threads=1).omega.tobytes()
+    assert auto_calibration(edge).mode == "fixed"
+    assert PairedSample(edge, y).x.tolist() == [float(v) for v in edge.tolist()]
+
+
+
+def _int_column(rng, kind, n):
     if kind == "genotype":
         return rng.binomial(2, rng.uniform(0.05, 0.5), n).astype(float)
     if kind == "full-range":
         return rng.integers(-128, 128, n).astype(float)
     if kind == "extremes":
         return rng.choice([-128.0, -0.0, 0.0, 127.0], n)
+    if kind == "int16-full-range":
+        return rng.integers(-32768, 32768, n).astype(float)
+    if kind == "counts":
+        return rng.integers(0, 1001, n).astype(float)
+    if kind == "int16-extremes":
+        return rng.choice([-32768.0, -0.0, 0.0, 32767.0], n)
     return np.full(n, -0.0)  # constant
 
 
 INT8_KINDS = ("genotype", "full-range", "extremes", "constant")
+INT16_KINDS = ("int16-full-range", "counts", "int16-extremes")
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(33, 200), st.sampled_from([3, 4, 8, 32]), st.integers(0, 2**32 - 1),
-       st.booleans(), st.integers(1, 24))
-def test_an_int8_design_screens_as_its_float_columns(n, c, master, tied_y, extra):
-    # integer columns held as int8 take their levels from their bytes;
-    # inside a float design they take the float path's integer levels
+       st.booleans(), st.integers(1, 24), st.sampled_from([np.int8, np.int16]))
+def test_an_int8_design_screens_as_its_float_columns(n, c, master, tied_y, extra, dtype):
+    # integer columns held as int8 or int16 take their levels from their
+    # bits; inside a float design they take the float sort
     assume(n // c >= 2)
     kept = np.delete(np.arange(n), dropped_rows(n, n % c))
     step = BLOCK_CELLS // kept.size
     p = step + extra
     rng = np.random.default_rng(master)
-    kinds = rng.choice(INT8_KINDS, p)
-    kinds[[0, step - 1, step, p - 1]] = rng.choice(INT8_KINDS[:3], 4)
-    x = np.column_stack([_int8_column(rng, kind, n) for kind in kinds])
+    edges = INT8_KINDS[:3] if dtype == np.int8 else INT16_KINDS
+    kinds = rng.choice(INT8_KINDS + (INT16_KINDS if dtype == np.int16 else ()), p)
+    kinds[[0, step - 1, step, p - 1]] = rng.choice(edges, 4)
+    x = np.column_stack([_int_column(rng, kind, n) for kind in kinds])
     y = rng.permutation(np.arange(n) % 3).astype(float) if tied_y else rng.standard_normal(n)
     assume(np.unique(y[kept]).size > 1)
     small = Dataset(x, y)
     wide = Dataset(np.column_stack([x, rng.standard_normal(n)]), y)
-    assert (small.x.dtype, wide.x.dtype) == (np.int8, np.float64)
+    assert (small.x.dtype, wide.x.dtype) == (dtype, np.float64)
     config = SliceConfig(c=c, tie_seed=master)
     for threads in (1, 2, 8):
         result = screen_all(small, config, threads=threads)
@@ -549,12 +592,14 @@ def test_an_int8_design_screens_as_its_float_columns(n, c, master, tied_y, extra
 @pytest.mark.parametrize("row", [0, 3 * (screening.FINITE_CELLS // 64)])
 @pytest.mark.parametrize("value, dtype", [
     (127.0, np.int8), (-128.0, np.int8), (-0.0, np.int8),
-    (128.0, np.float64), (-129.0, np.float64), (0.5, np.float64), (1e300, np.float64),
+    (128.0, np.int16), (-129.0, np.int16), (32767.0, np.int16), (-32768.0, np.int16),
+    (32768.0, np.float64), (-32769.0, np.float64), (0.5, np.float64), (1e300, np.float64),
     (np.nan, None), (np.inf, None), (-np.inf, None),
 ])
 def test_the_int8_probe_reads_every_cell(row, value, dtype):
-    # the first row, then FINITE_CELLS cells at a time; a value the probe
-    # turns away keeps float64, and a non-finite one today's refusal
+    # the first row, then FINITE_CELLS cells at a time, for int8 and then
+    # int16; a value both probes turn away keeps float64, and a non-finite
+    # one the finiteness refusal
     x = np.random.default_rng(4).integers(-3, 3, (3 * (screening.FINITE_CELLS // 64) + 1, 64))
     x = x.astype(float)
     x[row, 63] = value
@@ -576,13 +621,15 @@ def test_an_int8_design_is_kept_and_a_bool_one_is_cast():
     assert Dataset(x, y).x is x
     strided = x[:, ::2]
     assert Dataset(strided, y).x is strided  # in any layout
+    counts = rng.integers(-32768, 32768, (40, 5)).astype(np.int16)
+    assert Dataset(counts, y).x is counts
     flags = rng.random((40, 5)) < 0.5
     data = Dataset(flags, y)
     assert data.x.dtype == np.int8 and np.array_equal(data.x, flags)
     config = SliceConfig(c=4, tie_seed=2)
     screened = screen_all(data, config, threads=1).omega.tobytes()
     assert screened == screen_all(Dataset(flags + 0.5, y), config, threads=1).omega.tobytes()
-    wide = np.array([[300, 1], [2, 3]] * 10)  # int64 out of the int8 range
+    wide = np.array([[40000, 1], [2, 3]] * 10)  # int64 out of the int16 range
     assert Dataset(wide, np.arange(20.0)).x.dtype == np.float64
 
 
@@ -627,8 +674,8 @@ def _packed_column(rng, kind, n, c):
     if kind == "negative-integers":
         return rng.integers(-40, -3, n).astype(float)
     if kind in ("range-2047", "range-2048"):
-        # the extremes repeat past any trim, so the kept range is exact: one
-        # below the integer path's cut, one at it
+        # the extremes repeat past any trim, so the kept range is exact:
+        # integers 2**11 - 1 and 2**11 apart in a float design
         x = rng.integers(0, 2048, n)
         x[:8], x[8:16] = 0, 2047 if kind == "range-2047" else 2048
         return rng.permutation(x).astype(float) - 1000
