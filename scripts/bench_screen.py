@@ -30,7 +30,8 @@ recorded in the output's settings.  The children of all configurations
 alternate, --rounds times over.  The medians and interquartile ranges of
 the pooled calls and faults, each round's median, the paired ratios and
 the machine (nproc, CPU model, load average, numpy version) go to
---output as JSON, keyed by tree.
+--output as JSON, keyed by tree; each line printed for the change also
+shows its median paired ratio and in how many pairs it was faster.
 
     python3 scripts/bench_screen.py --rounds 4 --calls 5 --output BENCH_screen.json
 """
@@ -185,9 +186,11 @@ def main():
             row["paired_wins"] = sum(r < 1 for r in ratios)
             row["pairs"] = len(ratios)
         results[tree][workload][str(threads)] = row
+        paired = (f" ratio={row['paired_ratio']['median_ratio']:.3f}"
+                  f" wins={row['paired_wins']}/{row['pairs']}" if "pairs" in row else "")
         print(f"{tree:8s} {workload:16s} threads={threads} "
               f"median={row['median_s']:.4f}s iqr={row['iqr_s']:.4f}s "
-              f"faults={row['median_faults']:g}")
+              f"faults={row['median_faults']:g}{paired}")
     record = {
         "machine": machine() | {"load_average_before": load_before},
         "settings": {"rounds": args.rounds, "calls": args.calls, "seed": args.seed,

@@ -26,23 +26,26 @@ variable.
 The kernel evaluates a block of covariates at once, and one driver
 (:func:`_omegas`) feeds it the columns of :func:`sliced_estimate` and of
 each ``screen_all`` worker alike.  Each of its calls allocates one
-workspace (:class:`_Workspace`) that every block reuses: a block of
-tie-free float columns writes its keys, order, int32 ranks and
-numerators there and allocates no block-sized array, its slices sorted in
-place and its numerators taken by one ``np.einsum``.  A column is ordered
-by one in-place sort of integer keys that pack each value's level, its
-tie-break key and its position.  A column of an int8 or int16 design (an
-integer design held by ``Dataset`` at one or two bytes a cell, such as
-genotypes or counts) takes its levels from its bits and needs no other
-sort; the design's dtype is the only integer test.  Float columns take
-one in-place float sort per block first: each value carries its row
-position in its low mantissa bits, which leaves values in distinct
-buckets in value order, so a column without near neighbours needs
-nothing more.  Only columns with ties (or values within a bucket's width
-of each other) are gathered and checked, and the tied ones take the key
-sort, their dense ranks as levels.  Only the columns that take the key
-sort compute tie-break keys, the counter-based keys of
-:func:`~sitscreen.seeding.tie_keys`, on whole arrays.  The response
+workspace (:class:`_Workspace`) that every block reuses.  A block of
+tie-free float columns, or of an int8 or int16 design, allocates no
+block-sized array of its own (a trimmed block's gathered rows aside);
+float columns with near or tied values still gather their sorted values
+and levels.  A column is ordered by one in-place sort of integer keys that
+pack each value's level, its tie-break key and its position.  A column of
+an int8 or int16 design (an integer design held by ``Dataset`` at one or
+two bytes a cell, such as genotypes or counts) takes its levels from its
+bits and needs no other sort; the design's dtype is the only integer
+test.  Float columns take one in-place float sort per block first: each
+value carries its row position in its low mantissa bits, which leaves
+values in distinct buckets in value order, so a column without near
+neighbours needs nothing more.  Only columns with ties (or values within
+a bucket's width of each other) are gathered and checked, and the tied
+ones take the key sort, their dense ranks as levels.  Only the columns
+that take the key sort compute tie-break keys, the counter-based keys of
+:func:`~sitscreen.seeding.tie_keys`, mixed in place in the workspace from
+counters it holds once per call; the keys are packed, sorted and read
+back there too.  Ranks go into the workspace, each slice is sorted in
+place and the numerators are taken by one ``np.einsum``.  The response
 is sorted once, by one ``np.unique`` into a level table (each observation's
 level, each level's size); the kernel's rank counts r and dispersion sums
 and the calibration all follow from it.  A trimmed sample drops the same
@@ -67,6 +70,7 @@ for a tie-free response (``--sigma plugin``), the plug-in gives a value near
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,7 +82,7 @@ from .errors import (
     InvalidCalibration,
     SampleTooSmall,
 )
-from .seeding import dropped_rows, tie_key, tie_keys
+from .seeding import dropped_rows, tie_counters, tie_key, tie_keys
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
@@ -88,8 +92,7 @@ SIGMA_MODES = ("auto", "fixed", "plugin")
 # reuses one workspace of 16 bytes a cell (512 KB).  Timed at one thread
 # (medians of 30 calls taking turns in one process; 2**14 / 2**15 / 2**16):
 # 1024 x 5000 Gaussian 0.091 / 0.087 / 0.083 s, 1000 x 1000 genotypes
-# 0.075 / 0.070 / 0.071 s.  2**16 gains little over 2**15, and the integer
-# path's temporaries grow with the block.
+# 0.075 / 0.070 / 0.071 s.  2**16 gains little over 2**15.
 BLOCK_CELLS = 2**15
 
 
@@ -99,18 +102,39 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+_BEYOND_2_53 = "integer entries must lie within +-2**53, where float64 holds every integer"
+
+
+def _exact_entry(v) -> float:
+    """One entry of an object array as the float64 that holds it exactly;
+    anything else, a complex number included, is refused."""
+    if not isinstance(v, numbers.Real):
+        raise ConfigError(f"entries must be real numbers, got {type(v).__name__} {v!r}")
+    if isinstance(v, numbers.Integral) and abs(int(v)) > 2**53:
+        raise ConfigError(_BEYOND_2_53)
+    f = float(v)
+    if f != v and f == f:  # NaN is left to the finiteness checks
+        raise ConfigError(f"entry {v!r} is not held exactly by float64")
+    return f
+
+
 def _exact(a) -> np.ndarray:
     """``a`` as an array, refused unless float64 holds each entry exactly:
     complex input would lose its imaginary part, and integers beyond
-    +-2**53 may round (64 distinct int64 values near 2**60 to one)."""
+    +-2**53 may round (64 distinct int64 values near 2**60 to one).  An
+    object array (Python ints beyond int64, say) is read entry by entry
+    into float64 (:func:`_exact_entry`), and text or any other
+    non-numeric dtype is refused."""
     a = np.asarray(a)
+    if a.dtype.kind == "O":
+        a = np.array([_exact_entry(v) for v in a.ravel().tolist()]).reshape(a.shape)
     if a.dtype.kind == "c":
         raise ConfigError("entries must be real: float64 would drop the imaginary part")
+    if a.dtype.kind not in "biuf":
+        raise ConfigError(f"entries must be real numbers, got {a.dtype} entries")
     wide = a.dtype.kind in "iu" and a.dtype.itemsize == 8 and a.size
     if wide and (a.min() < -(2**53) or a.max() > 2**53):
-        raise ConfigError(
-            "integer entries must lie within +-2**53, where float64 holds every integer"
-        )
+        raise ConfigError(_BEYOND_2_53)
     return a
 
 
@@ -350,11 +374,16 @@ def _exact_sum(m, a, b):
     return total.tolist()
 
 
+def _flat(idx):
+    """The positions ``idx`` within each row of a C-ordered array of
+    ``idx``'s shape, as flat indices."""
+    return idx + idx.shape[1] * np.arange(idx.shape[0])[:, None]
+
+
 def _take_rows(a, idx):
     """``np.take_along_axis(a, idx, axis=1)`` as one flat ``np.take``,
     several times faster on small blocks."""
-    a = np.ascontiguousarray(a)
-    return np.take(a, idx + a.shape[1] * np.arange(a.shape[0])[:, None])
+    return np.take(np.ascontiguousarray(a), _flat(idx), mode="clip")  # all in range
 
 
 def _nearest(keys, xor):
@@ -367,56 +396,27 @@ def _nearest(keys, xor):
     return np.minimum.reduce(xor[:, 1:], axis=1)
 
 
-def _tie_order(x, levels, key, order=None):
-    """``np.lexsort((key, x), axis=1)``, given each value's integer level in
-    its row: ``levels`` (uint64, overwritten) holds the levels of x at the
-    positions ``order``, or in x's own order when ``order`` is None.
-
-    Levels come from the bits of an int8 or int16 row with the sign bit
-    flipped (x + 2**7 or x + 2**15) and from :func:`_packed_order` for a
-    tied float row (dense ranks in sorted order).  One in-place sort of
-    integer keys: level << 48 | key >> 16 with its low b bits replaced by
-    the position, 2**b >= n.  The sorted keys' low bits are the order,
-    returned in the ``levels`` buffer.  It stands unless two neighbours
-    share their high 64 - b bits (tie-break keys equal in their top 48 - b
-    bits) or a level reaches 2**16 (a float row of more than 2**16 distinct
-    values): those rows take the lexsort.  A row's tie-break keys are
-    distinct, so either way no position decides the order.
-    """
-    n = x.shape[1]
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    many = levels.max(axis=1) >= 2**16
-    keys = levels
-    keys <<= np.uint64(48)
-    bits = key.copy() if order is None else _take_rows(key, order)
-    bits >>= np.uint64(16)
-    bits &= ~low
-    keys |= bits
-    keys |= np.arange(n, dtype=np.uint64) if order is None else order.view(np.uint64)
-    keys.sort(axis=1)
-    fallback = many | (_nearest(keys, bits) <= low)
-    keys &= low
-    out = keys.view(np.int64)
-    if fallback.any():
-        out[fallback] = np.lexsort((key[fallback], x[fallback]), axis=1)
-    return out
-
-
 class _Workspace:
     """The buffers of one kernel block, allocated once per :func:`_omegas`
     call (so once per ``screen_all`` worker) and reused by every block:
     at most ``rows`` columns of ``n_eff`` kept rows each, 16 bytes a cell.
 
-    Each of its two block-sized buffers serves twice.  ``keys`` holds the
-    packed float keys, sorted in place, and once the order is read from
-    them, ``ranks``: the gathered rank counts, slice-sorted in place.
-    ``order`` holds the sorted keys' neighbour XOR, then each row's argsort
-    order.  ``num`` takes each row's numerator; ``w`` holds the slice
-    weights 2j - c + 1 and ``pos`` the row positions 0..n_eff - 1.  Ranks,
-    weights and numerators are int32 when n_eff^2 c < 2**31: ranks are at
-    most n_eff and the weights' magnitudes sum to at most c^2 / 2, so every
-    partial sum of a row's ``num`` is at most n_eff^2 c / 2 in magnitude
-    and the int32 contraction is exact.  Otherwise they are int64, which
+    Each of its two block-sized buffers serves more than once.  ``keys``
+    holds a float block's packed keys, sorted in place, and once the order
+    is read from them, ``ranks``: the gathered rank counts, slice-sorted in
+    place.  For the rows that take the integer key sort
+    (:func:`_tie_order`) it is the shift buffer: the tie-break keys' mix
+    shifts, then the levels, then the sorted keys' neighbour XOR.
+    ``order`` holds the float keys' neighbour XOR, then each row's order;
+    the integer key sort mixes its tie-break keys, packs and sorts its keys
+    and reads its order there, in place.  ``num`` takes each row's
+    numerator; ``w`` holds the slice weights 2j - c + 1, ``pos`` the row
+    positions 0..n_eff - 1 and ``counters`` their tie-key counters
+    (:func:`~sitscreen.seeding.tie_counters`).  Ranks, weights and
+    numerators are int32 when n_eff^2 c < 2**31: ranks are at most n_eff
+    and the weights' magnitudes sum to at most c^2 / 2, so every partial
+    sum of a row's ``num`` is at most n_eff^2 c / 2 in magnitude and the
+    int32 contraction is exact.  Otherwise they are int64, which
     ``SliceConfig.slices`` keeps exact.
     """
 
@@ -428,11 +428,65 @@ class _Workspace:
         self.num = np.empty(rows, dtype=dtype)
         self.w = (2 * np.arange(c) - (c - 1)).astype(dtype)
         self.pos = np.arange(n_eff, dtype=np.uint64)
+        self.counters = tie_counters(self.pos)
+
+
+def _tie_order(x, levels, seeds, ws: _Workspace, keys=None, shifted=None):
+    """``np.lexsort((key, x), axis=1)`` for the rows ``x`` with tie seeds
+    ``seeds``, ``key`` their tie-break keys
+    (:func:`~sitscreen.seeding.tie_keys`), given each value's integer level
+    in row order: ``levels`` is an int8 or int16 ``x`` itself, whose level
+    is its bits with the sign bit flipped, x + 2**7 or x + 2**15 (an int8
+    level gains 2**8 as well, x + 384), or a float row's dense ranks from
+    :func:`_packed_order` (uint32).
+
+    One in-place sort of integer keys: level << 48 | key >> 16 with its low
+    b bits replaced by the position, 2**b >= n.  The tie-break keys are
+    mixed in ``keys`` with ``shifted`` as the shift buffer (uint64 buffers
+    of x's shape; by default ``ws.order`` and ``ws.keys``), the levels are
+    written into ``shifted``, shifted and joined, and the keys are sorted
+    in place, an int8 row's as float64: with levels 256..511 its keys are
+    the bits of positive normal doubles, which order as their integers do
+    (and no flush of subnormals to zero can tie two of them).  The sorted
+    keys' low bits are the order, returned in the ``keys`` buffer.  It
+    stands unless two neighbours share their high 64 - b bits (tie-break
+    keys equal in their top 48 - b bits) or a level reaches 2**16 (a float
+    row of more than 2**16 distinct values; an int8 or int16 level never
+    does): those rows take the lexsort, their tie-break keys computed
+    again.  A row's tie-break keys are distinct, so either way no position
+    decides the order.
+    """
+    t, n = x.shape
+    keys = ws.order[:t].view(np.uint64) if keys is None else keys
+    shifted = ws.keys[:t].view(np.uint64) if shifted is None else shifted
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    tie_keys(seeds[:, None], ws.counters, keys, shifted)
+    keys >>= np.uint64(16)
+    keys &= ~low
+    # the sign flip (and an int8 level's 2**8) rides in on the positions,
+    # the level field still zero
+    base = {1: 0x180, 2: 0x8000}[levels.itemsize] if levels.dtype.kind == "i" else 0
+    keys |= ws.pos | np.uint64(base << 48)
+    np.copyto(shifted, levels.view(f"u{levels.itemsize}"))
+    shifted <<= np.uint64(48)
+    keys ^= shifted
+    # an int8 level's keys are the bits of positive normal doubles, which
+    # sort as their integers do, and numpy sorts float64 faster than uint64
+    (keys.view(np.float64) if base == 0x180 else keys).sort(axis=1)
+    fallback = _nearest(keys, shifted) <= low
+    if levels.itemsize > 2:
+        fallback |= levels.max(axis=1) >= 2**16
+    keys &= low
+    out = keys.view(np.int64)
+    if fallback.any():
+        key = tie_keys(seeds[fallback, None], ws.counters)
+        out[fallback] = np.lexsort((key, x[fallback]), axis=1)
+    return out
 
 
 def _packed_order(xt, ws: _Workspace):
     """Each row's argsort order, the rows with ties, and those rows' dense
-    levels in sorted order (uint64, 0 for the smallest value).
+    levels in row order (uint32, 0 for the smallest value).
 
     One in-place float sort per block: the keys are xt + 0.0 (which turns
     -0.0 into 0.0) with their low b mantissa bits replaced by the position,
@@ -445,10 +499,11 @@ def _packed_order(xt, ws: _Workspace):
     values within 2**b ulps, are gathered by that order (the block itself when
     every row is near): it stands if it sorts the row, and a row it does not
     sort (positions inside a bucket follow the row, not the values) takes
-    argsort and sort.  Every float row comes here, a row of integers too;
-    an int8 or int16 block never does (:func:`_omega_block`).  The keys, the
-    XOR and the order are written into the workspace ``ws``, and the
-    returned order is a view of it.
+    argsort and sort.  A tied row's dense ranks, taken in sorted order, are
+    scattered back to row order in one pass.  Every float row comes here, a
+    row of integers too; an int8 or int16 block never does
+    (:func:`_omega_block`).  The keys, the XOR and the order are written
+    into the workspace ``ws``, and the returned order is a view of it.
     """
     p, n = xt.shape
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -476,8 +531,10 @@ def _packed_order(xt, ws: _Workspace):
     tied = ~steps.all(axis=1)
     if not tied.all():
         near, steps = near[tied], steps[tied]
-    levels = np.zeros((near.size, n), dtype=np.uint64)
-    np.cumsum(steps, axis=1, out=levels[:, 1:])
+    ranked = np.zeros((near.size, n), dtype=np.uint32)
+    np.cumsum(steps, axis=1, dtype=np.uint32, out=ranked[:, 1:])
+    levels = np.empty_like(ranked)
+    levels.reshape(-1)[_flat(order[near])] = ranked
     return order, near, levels
 
 
@@ -513,33 +570,33 @@ def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
     keys :func:`arrange_by_covariate` takes, but tie-break keys only when
     they use them.  The block's dtype is the one integer decision.  Every
     row of an int8 or int16 block (an integer design as ``Dataset`` holds
-    it) takes its keys and one integer key sort (:func:`_tie_order`), its
-    levels its bits with the sign bit flipped, x + 2**7 or x + 2**15 below
-    2**16, in one pass; its keys cannot change the order of a row without
-    ties.  Every row of a float block takes one float sort of packed keys
-    (:func:`_packed_order`), and those with ties then the key sort.
+    it) takes one integer key sort (:func:`_tie_order`), its levels its
+    bits with the sign bit flipped, x + 2**7 or x + 2**15 below 2**16; its
+    keys cannot change the order of a row without ties.  Every row of a
+    float block takes one float sort of packed keys (:func:`_packed_order`),
+    and those with ties then the key sort, their dense ranks as levels.
 
-    A block of tie-free float rows, the common case, works in the workspace
-    ``ws`` alone: keys, XOR and order as above, then the ranks gathered by
-    ``np.take`` into ``ws.ranks`` (int32 below the bound of
+    Every row works in the workspace ``ws``: the key sort builds and sorts
+    its keys in ``ws.order`` with ``ws.keys`` as its shift buffer, and
+    reads its order back in place (tied rows of a float block that also
+    has untied rows sort in ``ws.keys`` with a buffer of their own, since
+    ``ws.order`` holds the untied rows' order).  Then the ranks are
+    gathered by ``np.take`` into ``ws.ranks`` (int32 below the bound of
     :class:`_Workspace`), each slice sorted in place, and for sorted slice
-    ranks a_(j) the pairwise spread sum_j (2j - c + 1) a_(j) as one
-    ``np.einsum`` into ``ws.num``.  Near, tied and integer rows still
-    allocate their own temporaries.  The ratio is one float division while
+    ranks a_(j) the pairwise spread sum_j (2j - c + 1) a_(j) is one
+    ``np.einsum`` into ``ws.num``.  The ratio is one float division while
     its operands stay below 2**53 (:func:`_ratio`).
     """
     p, n_eff = xt.shape
     if xt.dtype.kind == "i":
-        # x + 2**7 or x + 2**15 in one pass: the bits with the sign bit flipped
-        bits = xt.view(f"u{xt.itemsize}")
-        levels = np.empty(xt.shape, dtype=np.uint64)
-        np.bitwise_xor(bits, bits.dtype.type(1 << 8 * xt.itemsize - 1), out=levels)
-        order = _tie_order(xt, levels, tie_keys(seeds[:, None], ws.pos))
+        order = _tie_order(xt, xt, seeds, ws)
     else:
         order, tied, levels = _packed_order(xt, ws)
-        if tied.size:
-            key = tie_keys(seeds[tied, None], ws.pos)
-            order[tied] = _tie_order(xt[tied], levels, key, order[tied])
+        if tied.size == p:
+            _tie_order(xt, levels, seeds, ws)
+        elif tied.size:
+            keys = ws.keys[: tied.size].view(np.uint64)
+            order[tied] = _tie_order(xt[tied], levels, seeds[tied], ws, keys, np.empty_like(keys))
     sliced = ws.ranks[:p]
     if counts.r.dtype == sliced.dtype:
         np.take(counts.r, order, out=sliced, mode="clip")  # every index is in range
@@ -584,16 +641,27 @@ def _omegas(x, kept, counts: RankCounts, seeds, c, start, stop) -> np.ndarray:
     The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
     time, each block a transposed view of ``x``, or of its kept rows when
     trimmed, and every block reuses one :class:`_Workspace` (int32 ranks,
-    16 bytes a cell), allocated here for the call.  Blocks only group the
-    work: each column's value is what it gives alone.
+    16 bytes a cell), allocated here for the call.  A trimmed int8 or int16
+    block gathers its kept rows by ``np.take`` into one buffer of x's dtype
+    (numpy copies the column slice first, so a float block, eight times
+    larger, gathers faster by fancy indexing).  Blocks only group the work:
+    each column's value is what it gives alone.
     """
     n_eff = counts.level.shape[0]
     step = max(1, BLOCK_CELLS // n_eff)
-    ws = _Workspace(min(step, stop - start), n_eff, c)
+    rows = min(step, stop - start)
+    ws = _Workspace(rows, n_eff, c)
+    narrow = kept is not None and x.dtype.kind == "i"
+    gathered = np.empty(rows * n_eff if narrow else 0, dtype=x.dtype)
     out = np.empty(stop - start, dtype=np.float64)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        xt = x[:, lo:hi].T if kept is None else x[:, lo:hi].T[:, kept]
+        xt = x[:, lo:hi].T
+        if narrow:
+            block = gathered[: (hi - lo) * n_eff].reshape(n_eff, hi - lo)
+            xt = np.take(x[:, lo:hi], kept, axis=0, out=block, mode="clip").T
+        elif kept is not None:
+            xt = xt[:, kept]
         _omega_block(xt, counts, seeds[lo:hi], c, ws, out[lo - start : hi - start])
     return out
 

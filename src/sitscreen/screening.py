@@ -11,11 +11,13 @@ row floor.  Every column drops the same n mod c rows
 (:func:`~sitscreen.seeding.dropped_rows`), and the kept response's level
 table is built once per screen.  Each worker hands its span of columns to
 the statistic's one column driver (``estimator._omegas``), which walks
-them in kernel blocks.  Column k's tie-break randomness comes from the
+them in kernel blocks; a screen of one worker runs it in the calling
+thread.  Column k's tie-break randomness comes from the
 counter-based keys of the seed hash(master_seed, k)
-(:func:`~sitscreen.seeding.tie_keys`), computed only when the column has
-ties among its kept values, so results are identical for any worker count
-and any chunking of the columns.  All p seeds are hashed in one batched
+(:func:`~sitscreen.seeding.tie_keys`), computed only for the columns that
+take the integer key sort (every column of an int8 or int16 design, and a
+float column with ties among its kept values), so results are identical
+for any worker count and any chunking of the columns.  All p seeds are hashed in one batched
 call per screen.
 """
 
@@ -219,9 +221,12 @@ def screen_all(
     p = data.p
     seeds = derive_seeds(config.tie_seed, p)
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        work = partial(_omegas, x, kept, kept_counts, seeds, c)
-        omega = np.concatenate(list(pool.map(work, bounds[:-1], bounds[1:])))
+    work = partial(_omegas, x, kept, kept_counts, seeds, c)
+    if len(bounds) == 2:  # one worker runs here: a pool thread costs 5-20%
+        omega = work(0, p)
+    else:
+        with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+            omega = np.concatenate(list(pool.map(work, bounds[:-1], bounds[1:])))
 
     z = z_statistic(omega, H * c, c, calibration)
     p_values = p_value_from_z(z)

@@ -19,7 +19,9 @@ with gamma = 0x9E3779B97F4A7C15 and mix64 SplitMix64's output function
 SplitMix64 generator seeded with s.  mix64 is a bijection and gamma is odd,
 so a column's keys are all distinct.  Keys 0..n_eff - 1 break ties among
 equal covariate values (:func:`tie_keys`), each key arithmetic on whole
-arrays.  The rem = n mod c rows a sample drops depend on (n, rem) alone:
+arrays: the counters (i + 1) gamma are shared by every seed
+(:func:`tie_counters`), and the mix runs in place in buffers the caller
+may supply.  The rem = n mod c rows a sample drops depend on (n, rem) alone:
 Floyd's sample (Bentley & Floyd 1987, "A sample of brilliance") from seed
 0's keys n..n + rem - 1 (:func:`dropped_rows`), shared by every column.
 """
@@ -119,14 +121,26 @@ def tie_key(seed: int, i: int) -> int:
     return z ^ z >> 31
 
 
-def tie_keys(seeds, rows) -> np.ndarray:
+def tie_counters(rows) -> np.ndarray:
+    """The counters (i + 1) gamma mod 2**64 of the rows i of ``rows``, as
+    uint64: the part of a tie key that every seed shares."""
+    return (np.asarray(rows, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+
+
+def tie_keys(seeds, counters, out=None, shifted=None) -> np.ndarray:
     """key_s(i) = mix64(s + (i + 1) gamma mod 2**64) for each tie seed s of
-    ``seeds`` and row i of ``rows``, broadcast against each other, as
-    uint64: SplitMix64's (i + 1)-th output from seed s, in a few in-place
-    passes over the keys and one shift buffer."""
-    counters = (np.asarray(rows, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-    keys = counters + np.asarray(seeds, dtype=np.uint64)
-    shifted = np.empty_like(keys)
+    ``seeds`` and counter (i + 1) gamma of ``counters`` (:func:`tie_counters`),
+    broadcast against each other, as uint64: SplitMix64's (i + 1)-th output
+    from seed s.  The keys are written into ``out`` (a new array when None)
+    in a few in-place passes, which take their shifts in ``shifted``, a
+    uint64 buffer of the keys' shape (a new one when None)."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(seeds.shape, np.shape(counters)), dtype=np.uint64)
+    # a copy and one broadcast add: one of numpy's 64 KB buffers, not two
+    np.copyto(out, counters)
+    keys = np.add(out, seeds, out=out)
+    shifted = np.empty_like(keys) if shifted is None else shifted
     for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
         np.right_shift(keys, np.uint64(shift), out=shifted)
         keys ^= shifted

@@ -9,18 +9,37 @@ suite's runtime targets.
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import sitscreen
-from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study
+from sitscreen import DesignSpec, ModelSpec, ThresholdRule, estimator, run_study
 
 STUDY1_SEED = 20103
 STUDY2_SEED = 20202
 STUDY3_SEED = 20303
 
 STUDY_TIMINGS = {}
+
+
+def key_sort(x, levels, key):
+    """``estimator._tie_order`` of the rows ``x`` with the levels ``levels``,
+    given any uint64 tie-break keys ``key`` of x's shape, colliding ones
+    included: row j takes tie seed j, and ``tie_keys`` hands each seed its
+    row of ``key``, into the kernel's buffer and again for a fallback."""
+
+    def keyed(seeds, counters, out=None, shifted=None):
+        rows = key[np.asarray(seeds, dtype=np.intp).reshape(-1)]
+        if out is None:
+            return rows
+        np.copyto(out, rows)
+        return out
+
+    seeds = np.arange(x.shape[0], dtype=np.uint64)
+    with mock.patch.object(estimator, "tie_keys", keyed):
+        return estimator._tie_order(x, levels, seeds, estimator._Workspace(*x.shape, 2)).copy()
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from sitscreen.estimator import (
     _ndtr,
     _packed_order,
     _ratio,
-    _tie_order,
     _trim,
     _Workspace,
     arrange_by_covariate,
@@ -34,6 +33,8 @@ from sitscreen.estimator import (
 )
 from sitscreen.oracle import oracle_theta1
 from sitscreen.seeding import dropped_rows
+
+from conftest import key_sort
 
 
 def estimate_value(x, y, c, seed=0):
@@ -504,8 +505,16 @@ def test_tie_free_flag():
 
 
 def dense_levels(ordered):
-    levels = np.zeros(ordered.shape, dtype=np.uint64)
+    levels = np.zeros(ordered.shape, dtype=np.uint32)
     np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=levels[:, 1:])
+    return levels
+
+
+def row_levels(x):
+    """Each value's dense level (0 for the smallest) in x's own row order."""
+    order = np.argsort(x, axis=1)
+    levels = np.empty(x.shape, dtype=np.uint32)
+    np.put_along_axis(levels, order, dense_levels(np.take_along_axis(x, order, axis=1)), axis=1)
     return levels
 
 
@@ -516,8 +525,7 @@ def tie_keys_of(u):
 
 
 def packed_order(x, u):
-    levels = dense_levels(np.sort(x, axis=1))
-    return _tie_order(x, levels, tie_keys_of(u), np.argsort(x, axis=1))
+    return key_sort(x, row_levels(x), tie_keys_of(u))
 
 
 def assert_lexsort_order(x, u):
@@ -556,7 +564,7 @@ class TestTieOrder:
         assert_lexsort_order(x, rng.random(x.shape))
 
     def test_integer_levels_in_place(self):
-        # an int8 or int16 row's levels are its bits with the sign bit
+        # an int8 or int16 row is its own levels, its bits with the sign bit
         # flipped, in the row's own order: no float sort and no gather
         rng = np.random.default_rng(5)
         for dtype in (np.int8, np.int16):
@@ -570,9 +578,7 @@ class TestTieOrder:
             ]).astype(dtype)
             u = rng.random(x.shape)
             u[4, 1::2] = u[4, ::2]  # equal pairs: the row falls back
-            unsigned = x.view(f"u{x.itemsize}")
-            levels = (unsigned ^ unsigned.dtype.type(-int(lo))).astype(np.uint64)
-            out = _tie_order(x, levels, tie_keys_of(u))
+            out = key_sort(x, x, tie_keys_of(u))
             assert np.array_equal(out, np.lexsort((u, x), axis=1))
 
     @settings(max_examples=60, deadline=None)
@@ -597,7 +603,7 @@ class TestPackedOrder:
         untied = ~has_ties
         assert np.array_equal(order[untied], np.argsort(xt[untied], axis=1))
         if tied.size:
-            assert (levels == dense_levels(gathered[tied])).all()
+            assert (levels == row_levels(xt[tied])).all()
 
     def test_kinds(self):
         rng = np.random.default_rng(4)
@@ -620,4 +626,4 @@ class TestPackedOrder:
         xt = np.array([[3.0, -0.0, -2.0, 0.0, 1.0]])
         order, tied, levels = _packed_order(xt, _Workspace(*xt.shape, 2))
         assert tied.tolist() == [0]
-        assert levels.tolist() == [[0, 1, 1, 2, 3]]
+        assert levels.tolist() == [[3, 1, 0, 1, 2]]

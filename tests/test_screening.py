@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -466,24 +467,32 @@ def test_a_wide_trimmed_screen_of_a_binary_response_draws_in_small_tables():
 
 
 def test_tie_free_blocks_work_in_the_workspace():
-    # untrimmed tie-free float blocks allocate no block-sized temporary:
-    # beyond the workspace (16 bytes a cell) only numpy's 64 KB broadcast
-    # buffer and per-column vectors, under one block of int32 ranks
+    # tie-free float blocks and every int8 or int16 block, untrimmed or
+    # trimmed, allocate no block-sized temporary: beyond the workspace (16
+    # bytes a cell) only numpy's 64 KB broadcast buffer and per-column
+    # vectors, under one block of int32 ranks; a trimmed integer block also
+    # gathers its kept rows, one block of the design's dtype
     rng = np.random.default_rng(16)
-    n, c = 1024, 32
-    step = BLOCK_CELLS // n
-    x = rng.standard_normal((n, 4 * step))
-    counts = rank_counts(rng.standard_normal(n))
-    seeds = derive_seeds(3, x.shape[1])
-    first = estimator._omegas(x, None, counts, seeds, c, 0, x.shape[1])
-    tracemalloc.start()
-    try:
-        again = estimator._omegas(x, None, counts, seeds, c, 0, x.shape[1])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert again.tobytes() == first.tobytes()
-    assert peak < 16 * step * n + 4 * BLOCK_CELLS
+    c = 32
+    step = BLOCK_CELLS // 1024
+    designs = [(1024, rng.standard_normal((1024, 4 * step)))]
+    for dtype in (np.int8, np.int16):
+        info = np.iinfo(dtype)
+        for n in (1024, 1000):
+            designs.append((n, rng.integers(info.min, info.max + 1, (n, 4 * step), dtype=dtype)))
+    for n, x in designs:
+        kept, counts = estimator._trim(rank_counts(rng.standard_normal(n)), c)
+        seeds = derive_seeds(3, x.shape[1])
+        first = estimator._omegas(x, kept, counts, seeds, c, 0, x.shape[1])
+        tracemalloc.start()
+        try:
+            again = estimator._omegas(x, kept, counts, seeds, c, 0, x.shape[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again.tobytes() == first.tobytes()
+        gathered = 0 if kept is None else x.itemsize * step * n
+        assert peak < 16 * step * n + 4 * BLOCK_CELLS + gathered, (x.dtype, n)
 
 
 @pytest.mark.parametrize("at", ["first", "chunk-end", "chunk-start", "last", "response"])
@@ -521,6 +530,47 @@ def test_entries_float64_cannot_hold_are_refused(kind, where):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="imaginary" if kind == "complex" else r"2\*\*53"):
             build()
+
+
+@pytest.mark.parametrize(
+    "kind", ["int", "negative-int", "fraction", "text", "object-text", "none"]
+)
+@pytest.mark.parametrize("where", ["x", "y", "sample-x", "sample-y", "calibration"])
+def test_entries_that_are_not_exact_real_numbers_are_refused(kind, where):
+    # Python ints beyond int64 make an object array, which float64 would
+    # round (64 values near 2**70 to one constant); a third is no float64,
+    # and text or None is no number at all
+    values = {
+        "int": [2**70 + k for k in range(64)],
+        "negative-int": [-(2**70) - k for k in range(64)],
+        "fraction": [Fraction(1, 3)] + list(range(63)),
+        "text": [str(k) for k in range(64)],
+        "object-text": np.array(["a"] * 32 + ["b"] * 32, dtype=object),
+        "none": [None] + list(range(63)),
+    }[kind]
+    column = np.array(values, dtype=object if kind != "text" else None)
+    other = np.arange(64.0)
+    build = {
+        "x": lambda: Dataset(column[:, None], other),
+        "y": lambda: Dataset(other[:, None], column),
+        "sample-x": lambda: PairedSample(column, other),
+        "sample-y": lambda: PairedSample(other, column),
+        "calibration": lambda: auto_calibration(column),
+    }[where]
+    match = {"int": r"2\*\*53", "negative-int": r"2\*\*53", "fraction": "exactly"}
+    with pytest.raises(ConfigError, match=match.get(kind, "real numbers")):
+        build()
+
+
+def test_an_object_array_of_exact_numbers_screens_as_floats():
+    rng = np.random.default_rng(10)
+    x = rng.integers(-(2**53), 2**53, (64, 3)).astype(float)
+    x[:, 2] = rng.standard_normal(64)
+    y = rng.standard_normal(64)
+    objects = np.array([[int(a), int(b), float(c)] for a, b, c in x.tolist()], dtype=object)
+    config = SliceConfig(c=4, tie_seed=5)
+    got = screen_all(Dataset(objects, y), config, threads=1)
+    assert got.omega.tobytes() == screen_all(Dataset(x, y), config, threads=1).omega.tobytes()
 
 
 def test_integers_up_to_2_53_screen_as_their_ranks():

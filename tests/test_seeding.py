@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 from sitscreen import estimator
 from sitscreen.errors import ConfigError
-from sitscreen.seeding import derive_seed, derive_seeds, dropped_rows, tie_key, tie_keys
+from sitscreen.seeding import (
+    derive_seed,
+    derive_seeds,
+    dropped_rows,
+    tie_counters,
+    tie_key,
+    tie_keys,
+)
+
+from conftest import key_sort
 
 EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
 seeds64 = st.one_of(
@@ -63,11 +72,16 @@ def splitmix64(seed):
 def test_tie_keys_equal_splitmix64(seed):
     # from 2**64 - 1 the counter wraps at the first key
     expected = list(itertools.islice(splitmix64(seed), 300))
-    assert tie_keys(np.uint64(seed), np.arange(300)).tolist() == expected
+    assert tie_keys(np.uint64(seed), tie_counters(np.arange(300))).tolist() == expected
     rows = np.array([[299, 0, 7], [1, 1, 2]])
-    got = tie_keys(np.array([[seed], [seed]], dtype=np.uint64), rows)
+    got = tie_keys(np.array([[seed], [seed]], dtype=np.uint64), tie_counters(rows))
     assert got.tolist() == [[expected[i] for i in row] for row in rows.tolist()]
     assert got.dtype == np.uint64
+    # into given buffers, in place
+    out, shifted = np.empty((2, 3), dtype=np.uint64), np.empty((2, 3), dtype=np.uint64)
+    seeds = np.array([[seed], [seed]], dtype=np.uint64)
+    assert tie_keys(seeds, tie_counters(rows), out, shifted) is out
+    assert out.tolist() == got.tolist()
 
 
 def floyd(n, rem):
@@ -120,7 +134,8 @@ def test_tie_orders_are_uniform():
 def test_tie_order_falls_back_to_the_lexsort(n):
     # rows 0 and 1 hold keys equal in their top 53 - b bits, which the packed
     # sort cannot tell apart (its order would follow the positions); row 2
-    # holds full keys.  Levels are given in x's own order and in sorted order.
+    # holds full keys.  Levels are given in x's own order, as float ranks and
+    # as an int8 row's own bits.
     b = (n - 1).bit_length()
     rng = np.random.default_rng(n)
     top = np.uint64(rng.integers(0, 2 ** (53 - b))) << np.uint64(11 + b)
@@ -128,7 +143,5 @@ def test_tie_order_falls_back_to_the_lexsort(n):
     key[2] = rng.integers(0, 2**63, n).astype(np.uint64) << np.uint64(1)
     x = np.array([np.zeros(n), *rng.integers(0, 3, (2, n)).astype(float)])
     expected = np.lexsort((key, x), axis=1).tolist()
-    assert estimator._tie_order(x, x.astype(np.uint64), key).tolist() == expected
-    order = np.argsort(x, axis=1, kind="stable")
-    levels = np.take_along_axis(x, order, axis=1).astype(np.uint64)
-    assert estimator._tie_order(x, levels, key, order).tolist() == expected
+    assert key_sort(x, x.astype(np.uint32), key).tolist() == expected
+    assert key_sort(x.astype(np.int8), x.astype(np.int8), key).tolist() == expected
