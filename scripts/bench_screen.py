@@ -23,15 +23,20 @@ checkout's src/ directory under its own name as well, and alternates the
 two within the child: call i of one tree runs next to call i of the other,
 which goes first on even calls and second on odd ones.  So both trees see
 the same machine load, and each pair gives one ratio, change over
-baseline.  A child loads and sets up its trees in turn, and the heap each
-one's calls meet depends on that turn, so the order is swapped every
-round (an even --rounds gives each tree each place equally often) and
-recorded in the output's settings.  The children of all configurations
-alternate, --rounds times over.  The medians and interquartile ranges of
+baseline.  The child also compares the two trees' omega, z, p-value and
+order bytes from their warm-up screens; the record holds ``same_bits``
+for each workload and thread count (it reports, and asserts nothing, so a
+change that alters bits on purpose is timed all the same).  A child
+loads and sets up its trees in turn, and the heap each one's calls meet
+depends on that turn, so the order is swapped every round (an even
+--rounds gives each tree each place equally often) and recorded in the
+output's settings.  The children of all configurations alternate,
+--rounds times over.  The medians and interquartile ranges of
 the pooled calls and faults, each round's median, the paired ratios and
 the machine (nproc, CPU model, load average, numpy version) go to
 --output as JSON, keyed by tree; each line printed for the change also
-shows its median paired ratio and in how many pairs it was faster.
+shows its median paired ratio, in how many pairs it was faster and
+whether its bits matched.
 
     python3 scripts/bench_screen.py --rounds 4 --calls 5 --output BENCH_screen.json
 """
@@ -86,13 +91,16 @@ def make_data(package, workload, seed):
 def child(srcs, workload, threads, calls, seed):
     """Time ``calls`` screens of each tree in this process, the trees loaded
     and set up in the order of ``srcs`` and then taking turns; print each
-    tree's seconds and minor faults per call as JSON, in that order."""
+    tree's seconds and minor faults per call as JSON, in that order, and
+    whether every tree's warm-up screen gave the same bytes."""
     packages = [load_package(src, f"sitscreen_tree{i}") for i, src in enumerate(srcs)]
-    runs = []
+    runs, warm = [], set()
     for package in packages:
         data = make_data(package, workload, seed)
         config = package.SliceConfig(c=32, tie_seed=seed)
-        package.screen_all(data, config, threads=threads)
+        result = package.screen_all(data, config, threads=threads)
+        warm.add(b"".join(a.tobytes() for a in
+                          (result.omega, result.z, result.p_values, result.order)))
         runs.append((package.screen_all, data, config))
     times = [[] for _ in runs]
     faults = [[] for _ in runs]
@@ -105,7 +113,7 @@ def child(srcs, workload, threads, calls, seed):
             screen(data, config, threads=threads)
             times[i].append(time.perf_counter() - started)
             faults[i].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    print(json.dumps({"times": times, "faults": faults}))
+    print(json.dumps({"times": times, "faults": faults, "same_bits": len(warm) == 1}))
 
 
 def run_child(srcs, workload, threads, calls, seed):
@@ -165,6 +173,7 @@ def main():
     times = {(tree, *key): [] for tree in trees for key in keys}
     faults = {key: [] for key in times}
     rounds = {key: [] for key in times}
+    same_bits = dict.fromkeys(keys, True)
     orders = []
     for round_index in range(args.rounds):
         order = list(trees) if round_index % 2 == 0 else list(trees)[::-1]
@@ -172,6 +181,7 @@ def main():
         for workload, threads in keys:
             srcs = [trees[tree] for tree in order]
             got = run_child(srcs, workload, threads, args.calls, args.seed)
+            same_bits[workload, threads] &= got["same_bits"]
             for tree, tree_times, tree_faults in zip(order, got["times"], got["faults"]):
                 times[tree, workload, threads] += tree_times
                 faults[tree, workload, threads] += tree_faults
@@ -185,9 +195,11 @@ def main():
             row["paired_ratio"] = summary(ratios, "ratio")
             row["paired_wins"] = sum(r < 1 for r in ratios)
             row["pairs"] = len(ratios)
+            row["same_bits"] = same_bits[workload, threads]
         results[tree][workload][str(threads)] = row
         paired = (f" ratio={row['paired_ratio']['median_ratio']:.3f}"
-                  f" wins={row['paired_wins']}/{row['pairs']}" if "pairs" in row else "")
+                  f" wins={row['paired_wins']}/{row['pairs']}"
+                  f" same_bits={row['same_bits']}" if "pairs" in row else "")
         print(f"{tree:8s} {workload:16s} threads={threads} "
               f"median={row['median_s']:.4f}s iqr={row['iqr_s']:.4f}s "
               f"faults={row['median_faults']:g}{paired}")

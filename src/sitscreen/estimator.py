@@ -25,34 +25,32 @@ variable.
 
 The kernel evaluates a block of covariates at once, and one driver
 (:func:`_omegas`) feeds it the columns of :func:`sliced_estimate` and of
-each ``screen_all`` worker alike.  Each of its calls allocates one
-workspace (:class:`_Workspace`) that every block reuses.  A block of
-tie-free float columns, or of an int8 or int16 design, allocates no
-block-sized array of its own (a trimmed block's gathered rows aside);
-float columns with near or tied values still gather their sorted values
-and levels.  A column is ordered by one in-place sort of integer keys that
-pack each value's level, its tie-break key and its position.  A column of
-an int8 or int16 design (an integer design held by ``Dataset`` at one or
-two bytes a cell, such as genotypes or counts) takes its levels from its
-bits and needs no other sort; the design's dtype is the only integer
-test.  Float columns take one in-place float sort per block first: each
-value carries its row position in its low mantissa bits, which leaves
-values in distinct buckets in value order, so a column without near
-neighbours needs nothing more.  Only columns with ties (or values within
-a bucket's width of each other) are gathered and checked, and the tied
-ones take the key sort, their dense ranks as levels.  Only the columns
-that take the key sort compute tie-break keys, the counter-based keys of
-:func:`~sitscreen.seeding.tie_keys`, mixed in place in the workspace from
-counters it holds once per call; the keys are packed, sorted and read
-back there too.  Ranks go into the workspace, each slice is sorted in
-place and the numerators are taken by one ``np.einsum``.  The response
-is sorted once, by one ``np.unique`` into a level table (each observation's
-level, each level's size); the kernel's rank counts r and dispersion sums
-and the calibration all follow from it.  A trimmed sample drops the same
-rows from every column (:func:`~sitscreen.seeding.dropped_rows`) and
-screens as the untrimmed sample of its kept rows: each block gathers its
-kept rows, and the kept response's level table follows from the full one
-without another sort (:func:`_trim`).
+each ``screen_all`` worker alike.  The response is sorted once, by one
+``np.unique`` into a level table (each observation's level, each level's
+size); the calibration, the rank counts r and the one dispersion sum
+follow from it.  A trimmed sample drops the same rows from every column
+(:func:`~sitscreen.seeding.dropped_rows`) and screens as the untrimmed
+sample of its kept rows, whose level table follows from the full one
+without another sort (:func:`_trim`).  So each :func:`_omegas` call
+fixes its workspace (:class:`_Workspace`), rank counts and dispersion sum
+once, and every block reuses them.
+
+A column of an int8 or int16 design (an integer design held by
+``Dataset`` at one or two bytes a cell, such as genotypes or counts) is
+ordered by one in-place sort of integer keys that pack each value's level
+(its bits), its tie-break key and its position; the design's dtype is the
+only integer test.  Float columns take one in-place float sort per block
+first: each value carries its row position in its low mantissa bits,
+which leaves values in distinct buckets in value order, so a column
+without near neighbours needs nothing more.  Only columns with ties (or
+values within a bucket's width of each other) are gathered and checked,
+and the tied ones take the key sort, their dense ranks as levels.  Only
+the columns that take the key sort compute tie-break keys, the
+counter-based keys of :func:`~sitscreen.seeding.tie_keys`.  Ranks go into
+the workspace, each slice is sorted in place and the numerators are taken
+by one ``np.einsum``.  A block of tie-free float columns, or of an int8
+or int16 design, allocates no block-sized array beyond the workspace and,
+when trimmed, its gathered kept rows.
 
 Under independence of X and Y the scaled statistic
 
@@ -106,8 +104,8 @@ _BEYOND_2_53 = "integer entries must lie within +-2**53, where float64 holds eve
 
 
 def _exact_entry(v) -> float:
-    """One entry of an object array as the float64 that holds it exactly;
-    anything else, a complex number included, is refused."""
+    """One entry of an object or longdouble array as the float64 that holds
+    it exactly; anything else, a complex number included, is refused."""
     if not isinstance(v, numbers.Real):
         raise ConfigError(f"entries must be real numbers, got {type(v).__name__} {v!r}")
     if isinstance(v, numbers.Integral) and abs(int(v)) > 2**53:
@@ -121,12 +119,13 @@ def _exact_entry(v) -> float:
 def _exact(a) -> np.ndarray:
     """``a`` as an array, refused unless float64 holds each entry exactly:
     complex input would lose its imaginary part, and integers beyond
-    +-2**53 may round (64 distinct int64 values near 2**60 to one).  An
-    object array (Python ints beyond int64, say) is read entry by entry
-    into float64 (:func:`_exact_entry`), and text or any other
-    non-numeric dtype is refused."""
+    +-2**53 or a longdouble's extra mantissa bits may round (64 distinct
+    int64 values near 2**60 to one).  An object array (Python ints beyond
+    int64, say) or a float array wider than 8 bytes is read entry by entry
+    into float64 (:func:`_exact_entry`), and text or any other non-numeric
+    dtype is refused."""
     a = np.asarray(a)
-    if a.dtype.kind == "O":
+    if a.dtype.kind == "O" or (a.dtype.kind == "f" and a.dtype.itemsize > 8):
         a = np.array([_exact_entry(v) for v in a.ravel().tolist()]).reshape(a.shape)
     if a.dtype.kind == "c":
         raise ConfigError("entries must be real: float64 would drop the imaginary part")
@@ -351,10 +350,9 @@ def rank_counts(y: np.ndarray) -> RankCounts:
     return RankCounts(level=level, sizes=sizes)
 
 
-def _exact_sum(m, a, b):
-    """Exact sum of m_l a_l b_l over the last axis, a Python int (for 2-D
-    input a list of them, one per row), for level sizes m summing to n < 2^31
-    along that axis and non-negative a, b below 2^63.  With 32-bit halves
+def _exact_sum(m, a, b) -> int:
+    """Exact sum of m_l a_l b_l, a Python int, for 1-D level sizes m summing
+    to n < 2^31 and non-negative a, b below 2^63.  With 32-bit halves
     a = a1 2^32 + a0 and b likewise, a b = a1 b1 2^64 + (a1 b0 + a0 b1) 2^32
     + a0 b0, each part below 2^64; each part's m-weighted sum is taken in
     uint64 by halves, and the halves are combined as Python ints.  When
@@ -367,23 +365,17 @@ def _exact_sum(m, a, b):
     else:
         a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
         parts = ((64, a1 * b1), (32, a1 * b0 + a0 * b1), (0, a0 * b0))
-    total = np.zeros(m.shape[:-1], dtype=object)
+    total = 0
     for shift, part in parts:
         for half, at in ((part >> 32, shift + 32), (part & 0xFFFFFFFF, shift)):
-            total += np.einsum("...l,...l->...", m, half).astype(object) << at
-    return total.tolist()
+            total += int(np.einsum("l,l->", m, half)) << at
+    return total
 
 
 def _flat(idx):
     """The positions ``idx`` within each row of a C-ordered array of
     ``idx``'s shape, as flat indices."""
     return idx + idx.shape[1] * np.arange(idx.shape[0])[:, None]
-
-
-def _take_rows(a, idx):
-    """``np.take_along_axis(a, idx, axis=1)`` as one flat ``np.take``,
-    several times faster on small blocks."""
-    return np.take(np.ascontiguousarray(a), _flat(idx), mode="clip")  # all in range
 
 
 def _nearest(keys, xor):
@@ -397,21 +389,21 @@ def _nearest(keys, xor):
 
 
 class _Workspace:
-    """The buffers of one kernel block, allocated once per :func:`_omegas`
-    call (so once per ``screen_all`` worker) and reused by every block:
-    at most ``rows`` columns of ``n_eff`` kept rows each, 16 bytes a cell.
+    """The buffers of one :func:`_omegas` call (so of one ``screen_all``
+    worker), reused by every block: at most ``rows`` columns of ``n_eff``
+    kept rows each, 16 bytes a cell.
 
-    Each of its two block-sized buffers serves more than once.  ``keys``
-    holds a float block's packed keys, sorted in place, and once the order
-    is read from them, ``ranks``: the gathered rank counts, slice-sorted in
-    place.  For the rows that take the integer key sort
+    ``keys`` holds a float block's packed keys, sorted in place, and once
+    the order is read from them, ``ranks``: the gathered rank counts,
+    slice-sorted in place.  For the rows that take the integer key sort
     (:func:`_tie_order`) it is the shift buffer: the tie-break keys' mix
     shifts, then the levels, then the sorted keys' neighbour XOR.
     ``order`` holds the float keys' neighbour XOR, then each row's order;
     the integer key sort mixes its tie-break keys, packs and sorts its keys
     and reads its order there, in place.  ``num`` takes each row's
     numerator; ``w`` holds the slice weights 2j - c + 1, ``pos`` the row
-    positions 0..n_eff - 1 and ``counters`` their tie-key counters
+    positions 0..n_eff - 1, ``low`` their mask 2**b - 1 (2**b >= n_eff)
+    and ``counters`` their tie-key counters
     (:func:`~sitscreen.seeding.tie_counters`).  Ranks, weights and
     numerators are int32 when n_eff^2 c < 2**31: ranks are at most n_eff
     and the weights' magnitudes sum to at most c^2 / 2, so every partial
@@ -428,41 +420,42 @@ class _Workspace:
         self.num = np.empty(rows, dtype=dtype)
         self.w = (2 * np.arange(c) - (c - 1)).astype(dtype)
         self.pos = np.arange(n_eff, dtype=np.uint64)
+        self.low = np.uint64((1 << (n_eff - 1).bit_length()) - 1)
         self.counters = tie_counters(self.pos)
 
 
-def _tie_order(x, levels, seeds, ws: _Workspace, keys=None, shifted=None):
-    """``np.lexsort((key, x), axis=1)`` for the rows ``x`` with tie seeds
+def _tie_order(levels, seeds, ws: _Workspace, keys=None, shifted=None):
+    """``np.lexsort((key, levels), axis=1)`` for rows with tie seeds
     ``seeds``, ``key`` their tie-break keys
     (:func:`~sitscreen.seeding.tie_keys`), given each value's integer level
-    in row order: ``levels`` is an int8 or int16 ``x`` itself, whose level
-    is its bits with the sign bit flipped, x + 2**7 or x + 2**15 (an int8
-    level gains 2**8 as well, x + 384), or a float row's dense ranks from
-    :func:`_packed_order` (uint32).
+    in row order: an int8 or int16 row is its own levels, its bits with the
+    sign bit flipped, x + 2**7 or x + 2**15 (an int8 level gains 2**8 as
+    well, x + 384); a float row's are its dense ranks from
+    :func:`_packed_order` (uint32).  Levels order as their values do, so
+    this is the rows' ``np.lexsort((key, x))``.
 
     One in-place sort of integer keys: level << 48 | key >> 16 with its low
-    b bits replaced by the position, 2**b >= n.  The tie-break keys are
-    mixed in ``keys`` with ``shifted`` as the shift buffer (uint64 buffers
-    of x's shape; by default ``ws.order`` and ``ws.keys``), the levels are
-    written into ``shifted``, shifted and joined, and the keys are sorted
-    in place, an int8 row's as float64: with levels 256..511 its keys are
-    the bits of positive normal doubles, which order as their integers do
-    (and no flush of subnormals to zero can tie two of them).  The sorted
-    keys' low bits are the order, returned in the ``keys`` buffer.  It
-    stands unless two neighbours share their high 64 - b bits (tie-break
-    keys equal in their top 48 - b bits) or a level reaches 2**16 (a float
-    row of more than 2**16 distinct values; an int8 or int16 level never
-    does): those rows take the lexsort, their tie-break keys computed
-    again.  A row's tie-break keys are distinct, so either way no position
-    decides the order.
+    b bits replaced by the position (``ws.low`` masks them).  The tie-break
+    keys are mixed in ``keys`` with ``shifted`` as the shift buffer (uint64
+    buffers of the levels' shape; by default ``ws.order`` and ``ws.keys``),
+    the levels are written into ``shifted``, shifted and joined, and the
+    keys are sorted in place, an int8 row's as float64: with levels
+    256..511 its keys are the bits of positive normal doubles, which order
+    as their integers do (and no flush of subnormals to zero can tie two of
+    them).  The sorted keys' low bits are the order, returned in the
+    ``keys`` buffer.  It stands unless two neighbours share their high
+    64 - b bits (tie-break keys equal in their top 48 - b bits) or a level
+    reaches 2**16 (a float row of more than 2**16 distinct values; an int8
+    or int16 level never does): those rows take the lexsort, their
+    tie-break keys computed again.  A row's tie-break keys are distinct, so
+    either way no position decides the order.
     """
-    t, n = x.shape
+    t = levels.shape[0]
     keys = ws.order[:t].view(np.uint64) if keys is None else keys
     shifted = ws.keys[:t].view(np.uint64) if shifted is None else shifted
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
     tie_keys(seeds[:, None], ws.counters, keys, shifted)
     keys >>= np.uint64(16)
-    keys &= ~low
+    keys &= ~ws.low
     # the sign flip (and an int8 level's 2**8) rides in on the positions,
     # the level field still zero
     base = {1: 0x180, 2: 0x8000}[levels.itemsize] if levels.dtype.kind == "i" else 0
@@ -473,14 +466,14 @@ def _tie_order(x, levels, seeds, ws: _Workspace, keys=None, shifted=None):
     # an int8 level's keys are the bits of positive normal doubles, which
     # sort as their integers do, and numpy sorts float64 faster than uint64
     (keys.view(np.float64) if base == 0x180 else keys).sort(axis=1)
-    fallback = _nearest(keys, shifted) <= low
+    fallback = _nearest(keys, shifted) <= ws.low
     if levels.itemsize > 2:
         fallback |= levels.max(axis=1) >= 2**16
-    keys &= low
+    keys &= ws.low
     out = keys.view(np.int64)
     if fallback.any():
         key = tie_keys(seeds[fallback, None], ws.counters)
-        out[fallback] = np.lexsort((key, x[fallback]), axis=1)
+        out[fallback] = np.lexsort((key, levels[fallback]), axis=1)
     return out
 
 
@@ -489,39 +482,40 @@ def _packed_order(xt, ws: _Workspace):
     levels in row order (uint32, 0 for the smallest value).
 
     One in-place float sort per block: the keys are xt + 0.0 (which turns
-    -0.0 into 0.0) with their low b mantissa bits replaced by the position,
-    2**b >= n; ``SliceConfig.slices`` keeps b <= 32, inside the 52-bit
+    -0.0 into 0.0) with their low b mantissa bits (``ws.low``) replaced by
+    the position; ``SliceConfig.slices`` keeps b <= 32, inside the 52-bit
     mantissa.  A finite key stays in its value's bucket, the values sharing
     the high 64 - b bits, and buckets sort as their values do.  So a row whose
     sorted keys have no two neighbours in one bucket (the smallest XOR of
-    neighbours above ``low``) has no ties, and the positions read back are its
-    unique argsort order.  Only the other (``near``) rows, with exact ties or
-    values within 2**b ulps, are gathered by that order (the block itself when
-    every row is near): it stands if it sorts the row, and a row it does not
-    sort (positions inside a bucket follow the row, not the values) takes
-    argsort and sort.  A tied row's dense ranks, taken in sorted order, are
-    scattered back to row order in one pass.  Every float row comes here, a
-    row of integers too; an int8 or int16 block never does
-    (:func:`_omega_block`).  The keys, the XOR and the order are written
-    into the workspace ``ws``, and the returned order is a view of it.
+    neighbours above ``ws.low``) has no ties, and the positions read back
+    are its unique argsort order.  Only the other (``near``) rows, with
+    exact ties or values within 2**b ulps, are gathered by that order (the
+    block itself when every row is near), by one flat ``np.take``: it
+    stands if it sorts the row, and a row it does not sort (positions
+    inside a bucket follow the row, not the values) takes argsort and sort.
+    A tied row's dense ranks, taken in sorted order, are scattered back to
+    row order in one pass.  Every float row comes here, a row of integers
+    too; an int8 or int16 block never does (:func:`_omega_block`).  The
+    keys, the XOR and the order are written into the workspace ``ws``, and
+    the returned order is a view of it.
     """
     p, n = xt.shape
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = ws.keys[:p]
     np.copyto(keys, xt)
     keys += 0.0
     bits = keys.view(np.uint64)
-    bits &= ~low
+    bits &= ~ws.low
     bits |= ws.pos
     keys.sort(axis=1)
     order = ws.order[:p]
-    near = np.flatnonzero(_nearest(bits, order.view(np.uint64)) <= low)
-    np.bitwise_and(bits, low, out=order.view(np.uint64))
+    near = np.flatnonzero(_nearest(bits, order.view(np.uint64)) <= ws.low)
+    np.bitwise_and(bits, ws.low, out=order.view(np.uint64))
     if not near.size:
         return order, near, None
     every = near.size == p
     rows = xt if every else xt[near]
-    ordered = _take_rows(rows, order if every else order[near])
+    flat = _flat(order if every else order[near])  # all in range
+    ordered = np.take(np.ascontiguousarray(rows), flat, mode="clip")
     redo = np.flatnonzero((ordered[:, 1:] < ordered[:, :-1]).any(axis=1))
     if redo.size:
         order[near[redo]] = np.argsort(rows[redo], axis=1)
@@ -539,30 +533,28 @@ def _packed_order(xt, ws: _Workspace):
 
 
 def _ratio(num, den, c, n_eff, out) -> None:
-    """omega = ((c - 1) d - (n_eff - 1) num) / ((c - 1) d) of each row, with
-    d its dispersion sum in ``den`` (Python ints), written into ``out``.
+    """omega = ((c - 1) den - (n_eff - 1) num) / ((c - 1) den) of each row,
+    ``den`` the response's dispersion sum (a Python int), into ``out``.
 
-    When (c - 1) max(d) and (n_eff - 1) max(num) are both below 2**53, every
+    When (c - 1) den and (n_eff - 1) max(num) are both below 2**53, every
     operand is an integer float64 holds exactly, and so is the difference:
     one float division then gives the correctly rounded quotient of the
     exact integers, which is the Python-int quotient.  Otherwise each row
     takes that quotient in Python ints.
     """
-    if (c - 1) * max(den) < 2**53 and (n_eff - 1) * int(num.max()) < 2**53:
-        cd = np.array(den, dtype=np.float64) * (c - 1)
+    cd = (c - 1) * den
+    if cd < 2**53 and (n_eff - 1) * int(num.max()) < 2**53:
         np.multiply(num, -(n_eff - 1.0), out=out)
         out += cd
         out /= cd
     else:
-        out[:] = [
-            ((c - 1) * d - (n_eff - 1) * s) / ((c - 1) * d)
-            for s, d in zip(num.tolist(), den)
-        ]
+        out[:] = [(cd - (n_eff - 1) * s) / cd for s in num.tolist()]
 
 
-def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
+def _omega_block(xt, r, den, seeds, c, ws, out) -> None:
     """Statistic of each row of a (columns, n_eff) covariate block against
-    the response whose level table is ``counts``, written into ``out``.
+    the response of rank counts ``r`` (in the workspace's rank dtype) and
+    dispersion sum ``den``, written into ``out``.
 
     ``xt`` may be any view of the block, a transposed slice of the design
     included: a float block is copied only into the workspace's keys by
@@ -570,43 +562,35 @@ def _omega_block(xt, counts: RankCounts, seeds, c, ws, out) -> None:
     keys :func:`arrange_by_covariate` takes, but tie-break keys only when
     they use them.  The block's dtype is the one integer decision.  Every
     row of an int8 or int16 block (an integer design as ``Dataset`` holds
-    it) takes one integer key sort (:func:`_tie_order`), its levels its
-    bits with the sign bit flipped, x + 2**7 or x + 2**15 below 2**16; its
-    keys cannot change the order of a row without ties.  Every row of a
-    float block takes one float sort of packed keys (:func:`_packed_order`),
-    and those with ties then the key sort, their dense ranks as levels.
+    it) takes one integer key sort (:func:`_tie_order`), its bits its
+    levels; its keys cannot change the order of a row without ties.  Every
+    row of a float block takes one float sort of packed keys
+    (:func:`_packed_order`), and those with ties then the key sort, their
+    dense ranks as levels.  Tied rows of a float block that also has
+    untied rows sort in ``ws.keys`` with a buffer of their own, since
+    ``ws.order`` holds the untied rows' order.
 
-    Every row works in the workspace ``ws``: the key sort builds and sorts
-    its keys in ``ws.order`` with ``ws.keys`` as its shift buffer, and
-    reads its order back in place (tied rows of a float block that also
-    has untied rows sort in ``ws.keys`` with a buffer of their own, since
-    ``ws.order`` holds the untied rows' order).  Then the ranks are
-    gathered by ``np.take`` into ``ws.ranks`` (int32 below the bound of
-    :class:`_Workspace`), each slice sorted in place, and for sorted slice
-    ranks a_(j) the pairwise spread sum_j (2j - c + 1) a_(j) is one
-    ``np.einsum`` into ``ws.num``.  The ratio is one float division while
-    its operands stay below 2**53 (:func:`_ratio`).
+    Then the ranks are gathered by ``np.take`` into ``ws.ranks``, each
+    slice sorted in place, and for sorted slice ranks a_(j) the pairwise
+    spread sum_j (2j - c + 1) a_(j) is one ``np.einsum`` into ``ws.num``;
+    :func:`_ratio` divides.
     """
     p, n_eff = xt.shape
     if xt.dtype.kind == "i":
-        order = _tie_order(xt, xt, seeds, ws)
+        order = _tie_order(xt, seeds, ws)
     else:
         order, tied, levels = _packed_order(xt, ws)
         if tied.size == p:
-            _tie_order(xt, levels, seeds, ws)
+            _tie_order(levels, seeds, ws)
         elif tied.size:
             keys = ws.keys[: tied.size].view(np.uint64)
-            order[tied] = _tie_order(xt[tied], levels, seeds[tied], ws, keys, np.empty_like(keys))
-    sliced = ws.ranks[:p]
-    if counts.r.dtype == sliced.dtype:
-        np.take(counts.r, order, out=sliced, mode="clip")  # every index is in range
-    else:
-        sliced[...] = np.take(counts.r, order)
+            order[tied] = _tie_order(levels, seeds[tied], ws, keys, np.empty_like(keys))
+    sliced = np.take(r, order, out=ws.ranks[:p], mode="clip")  # every index is in range
     slices = sliced.reshape(p, n_eff // c, c)
     slices.sort(axis=2)
     num = np.einsum("phc,c->p", slices, ws.w, out=ws.num[:p])
     # exact integers and one final rounding, as in the brute-force reference
-    _ratio(num, [counts.dispersion] * p, c, n_eff, out)
+    _ratio(num, den, c, n_eff, out)
 
 
 def _trim(counts: RankCounts, c: int):
@@ -638,31 +622,28 @@ def _omegas(x, kept, counts: RankCounts, seeds, c, start, stop) -> np.ndarray:
     on the rows ``kept`` of :func:`_trim` (every row when None), whose
     response has the level table ``counts``.
 
-    The columns go to :func:`_omega_block` about BLOCK_CELLS cells at a
-    time, each block a transposed view of ``x``, or of its kept rows when
-    trimmed, and every block reuses one :class:`_Workspace` (int32 ranks,
-    16 bytes a cell), allocated here for the call.  A trimmed int8 or int16
-    block gathers its kept rows by ``np.take`` into one buffer of x's dtype
-    (numpy copies the column slice first, so a float block, eight times
-    larger, gathers faster by fancy indexing).  Blocks only group the work:
-    each column's value is what it gives alone.
+    What is fixed for the call is decided here once: the :class:`_Workspace`,
+    the rank counts in its rank dtype and the dispersion sum.  The columns
+    go to :func:`_omega_block` about BLOCK_CELLS cells at a time, each block
+    a transposed view of ``x``, or of its kept rows when trimmed, gathered
+    by ``np.take`` into one buffer of x's dtype (numpy copies the column
+    slice first, so a transient block stands beside the buffer).  Blocks
+    only group the work: each column's value is what it gives alone.
     """
     n_eff = counts.level.shape[0]
     step = max(1, BLOCK_CELLS // n_eff)
     rows = min(step, stop - start)
     ws = _Workspace(rows, n_eff, c)
-    narrow = kept is not None and x.dtype.kind == "i"
-    gathered = np.empty(rows * n_eff if narrow else 0, dtype=x.dtype)
+    r, den = counts.r.astype(ws.ranks.dtype, copy=False), counts.dispersion
+    gathered = None if kept is None else np.empty(rows * n_eff, dtype=x.dtype)
     out = np.empty(stop - start, dtype=np.float64)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        xt = x[:, lo:hi].T
-        if narrow:
-            block = gathered[: (hi - lo) * n_eff].reshape(n_eff, hi - lo)
-            xt = np.take(x[:, lo:hi], kept, axis=0, out=block, mode="clip").T
-        elif kept is not None:
-            xt = xt[:, kept]
-        _omega_block(xt, counts, seeds[lo:hi], c, ws, out[lo - start : hi - start])
+        block = x[:, lo:hi]
+        if kept is not None:
+            into = gathered[: (hi - lo) * n_eff].reshape(n_eff, hi - lo)
+            block = np.take(block, kept, axis=0, out=into, mode="clip")
+        _omega_block(block.T, r, den, seeds[lo:hi], c, ws, out[lo - start : hi - start])
     return out
 
 

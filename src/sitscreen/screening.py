@@ -12,13 +12,13 @@ row floor.  Every column drops the same n mod c rows
 table is built once per screen.  Each worker hands its span of columns to
 the statistic's one column driver (``estimator._omegas``), which walks
 them in kernel blocks; a screen of one worker runs it in the calling
-thread.  Column k's tie-break randomness comes from the
-counter-based keys of the seed hash(master_seed, k)
-(:func:`~sitscreen.seeding.tie_keys`), computed only for the columns that
-take the integer key sort (every column of an int8 or int16 design, and a
-float column with ties among its kept values), so results are identical
-for any worker count and any chunking of the columns.  All p seeds are hashed in one batched
-call per screen.
+thread.  Column k's tie-break randomness comes from the counter-based
+keys of the seed hash(master_seed, k) (:func:`~sitscreen.seeding.tie_keys`),
+computed only for the columns that take the integer key sort (every
+column of an int8 or int16 design, and a float column with ties among its
+kept values), so results are identical for any worker count and any
+chunking of the columns.  All p seeds are hashed in one batched call per
+screen.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class Dataset:
 
     ``names`` is optional; when present it must list one unique label per
     covariate column.  All entries must be finite, and held exactly by
-    float64: complex entries and integers beyond +-2**53 are refused.
+    float64: complex entries, integers beyond +-2**53 and longdouble
+    entries that float64 would round are refused.
     ``y`` is a read-only float64 copy of the response given.  ``x`` is int8
     when every entry is an integer in [-128, 127] (a genotype design, 1 byte
     a cell), else int16 when every entry is an integer in [-32768, 32767]
@@ -72,8 +73,6 @@ class Dataset:
 
     def __post_init__(self):
         x = _exact(self.x)
-        if x.dtype.kind not in "biu":
-            x = np.asarray(x, dtype=np.float64)
         # a read-only copy, so the cached level table cannot go stale
         y = np.array(_exact(self.y), dtype=np.float64)
         y.setflags(write=False)
@@ -112,7 +111,7 @@ class Dataset:
 
 
 def _design(x: np.ndarray) -> np.ndarray:
-    """The 2-D design ``x`` (bool, integer or float64) as int8 when every
+    """The 2-D design ``x`` (bool, integer or float) as int8 when every
     entry is an integer in [-128, 127], else as int16 when every entry is
     an integer in [-32768, 32767], an int8 or int16 ``x`` as it is; else as
     float64, refused unless every entry is finite.

@@ -39,7 +39,7 @@ def key_sort(x, levels, key):
 
     seeds = np.arange(x.shape[0], dtype=np.uint64)
     with mock.patch.object(estimator, "tie_keys", keyed):
-        return estimator._tie_order(x, levels, seeds, estimator._Workspace(*x.shape, 2)).copy()
+        return estimator._tie_order(levels, seeds, estimator._Workspace(*x.shape, 2)).copy()
 
 
 @pytest.fixture

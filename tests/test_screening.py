@@ -510,14 +510,20 @@ def test_dataset_refuses_a_non_finite_entry_anywhere(at):
         Dataset(x, y)
 
 
-@pytest.mark.parametrize("kind", ["int64", "negative-int64", "uint64", "complex"])
+@pytest.mark.parametrize(
+    "kind", ["int64", "negative-int64", "uint64", "complex", "longdouble"]
+)
 @pytest.mark.parametrize("where", ["x", "y", "sample-x", "sample-y", "calibration"])
 def test_entries_float64_cannot_hold_are_refused(kind, where):
-    # 64 distinct integers near 2**60 would round to one float64 and screen
-    # as a constant; a complex entry would lose its imaginary part
+    # 64 distinct integers near 2**60, or longdoubles 1 + k 2**-60, would
+    # round to one float64 and screen as a constant; a complex entry would
+    # lose its imaginary part
+    if kind == "longdouble" and np.finfo(np.longdouble).nmant <= 52:
+        pytest.skip("longdouble is float64 here")
     big = 2**60 + np.arange(64, dtype=np.int64)
+    close = 1 + np.arange(64, dtype=np.longdouble) * np.longdouble(2) ** -60
     values = {"int64": big, "negative-int64": -big, "uint64": big.astype(np.uint64),
-              "complex": np.arange(64) + 1j}[kind]
+              "complex": np.arange(64) + 1j, "longdouble": close}[kind]
     other = np.arange(64.0)
     build = {
         "x": lambda: Dataset(values[:, None], other),
@@ -528,7 +534,8 @@ def test_entries_float64_cannot_hold_are_refused(kind, where):
     }[where]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match="imaginary" if kind == "complex" else r"2\*\*53"):
+        match = {"complex": "imaginary", "longdouble": "exactly"}.get(kind, r"2\*\*53")
+        with pytest.raises(ConfigError, match=match):
             build()
 
 
@@ -681,6 +688,10 @@ def test_an_int8_design_is_kept_and_a_bool_one_is_cast():
     assert screened == screen_all(Dataset(flags + 0.5, y), config, threads=1).omega.tobytes()
     wide = np.array([[40000, 1], [2, 3]] * 10)  # int64 out of the int16 range
     assert Dataset(wide, np.arange(20.0)).x.dtype == np.float64
+    exact = np.arange(64, dtype=np.longdouble) % 3  # longdoubles float64 holds exactly
+    data = Dataset(exact[:, None], exact + 0.5)
+    assert data.x.dtype == np.int8 and data.x[:, 0].tolist() == exact.tolist()
+    assert data.y.dtype == np.float64 and data.y.tolist() == (exact + 0.5).tolist()
 
 
 def test_a_float_genotype_design_becomes_int8_in_small_chunks():
