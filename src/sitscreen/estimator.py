@@ -104,8 +104,8 @@ _BEYOND_2_53 = "integer entries must lie within +-2**53, where float64 holds eve
 
 
 def _exact_entry(v) -> float:
-    """One entry of an object or longdouble array as the float64 that holds
-    it exactly; anything else, a complex number included, is refused."""
+    """One entry of an object array as the float64 that holds it exactly;
+    anything else, a complex number included, is refused."""
     if not isinstance(v, numbers.Real):
         raise ConfigError(f"entries must be real numbers, got {type(v).__name__} {v!r}")
     if isinstance(v, numbers.Integral) and abs(int(v)) > 2**53:
@@ -121,12 +121,20 @@ def _exact(a) -> np.ndarray:
     complex input would lose its imaginary part, and integers beyond
     +-2**53 or a longdouble's extra mantissa bits may round (64 distinct
     int64 values near 2**60 to one).  An object array (Python ints beyond
-    int64, say) or a float array wider than 8 bytes is read entry by entry
-    into float64 (:func:`_exact_entry`), and text or any other non-numeric
-    dtype is refused."""
+    int64, say) is read entry by entry into float64 (:func:`_exact_entry`),
+    a float array wider than 8 bytes is cast whole and compared back, and
+    text or any other non-numeric dtype is refused."""
     a = np.asarray(a)
-    if a.dtype.kind == "O" or (a.dtype.kind == "f" and a.dtype.itemsize > 8):
+    if a.dtype.kind == "O":
         a = np.array([_exact_entry(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    elif a.dtype.kind == "f" and a.dtype.itemsize > 8:
+        with np.errstate(over="ignore"):
+            f = a.astype(np.float64)
+        rounded = (f != a) & (f == f)  # NaN is left to the finiteness checks
+        if rounded.any():
+            v = a.flat[np.argmax(rounded)]
+            raise ConfigError(f"entry {v!r} is not held exactly by float64")
+        a = f
     if a.dtype.kind == "c":
         raise ConfigError("entries must be real: float64 would drop the imaginary part")
     if a.dtype.kind not in "biuf":

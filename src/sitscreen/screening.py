@@ -13,12 +13,13 @@ table is built once per screen.  Each worker hands its span of columns to
 the statistic's one column driver (``estimator._omegas``), which walks
 them in kernel blocks; a screen of one worker runs it in the calling
 thread.  Column k's tie-break randomness comes from the counter-based
-keys of the seed hash(master_seed, k) (:func:`~sitscreen.seeding.tie_keys`),
-computed only for the columns that take the integer key sort (every
-column of an int8 or int16 design, and a float column with ties among its
-kept values), so results are identical for any worker count and any
-chunking of the columns.  All p seeds are hashed in one batched call per
-screen.
+keys of its seed tie_key(master_seed, k), itself key k of the master
+seed (:func:`~sitscreen.seeding.tie_keys`).  The keys are computed only for
+the columns that take the integer key sort (every column of an int8 or
+int16 design, and a float column with ties among its kept values), so
+results are identical for any worker count and any chunking of the
+columns.  All p seeds come from one :func:`~sitscreen.seeding.tie_keys`
+call per screen.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .estimator import (
     rank_counts,
     z_statistic,
 )
-from .seeding import derive_seeds, rng_from_seed
+from .seeding import rng_from_seed, tie_counters, tie_keys
 
 THREADS_ENV_VAR = "SIT_SCREEN_THREADS"
 
@@ -197,10 +198,11 @@ def screen_all(
 ) -> ScreeningResult:
     """Compute the dependence statistic of every covariate against y.
 
-    ``config.tie_seed`` acts as the master seed; column k is evaluated with
-    the derived seed hash(master, k), exactly as if ``sliced_estimate`` were
-    called on that column alone, and a trimmed sample screens as the
-    untrimmed sample of its kept rows.  Results do not depend on ``threads``.
+    ``config.tie_seed`` acts as the master seed s; column k is evaluated
+    with the seed tie_key(s, k) (= ``derive_seed(s, k)``), exactly as if
+    ``sliced_estimate`` were called on that column alone, and a trimmed
+    sample screens as the untrimmed sample of its kept rows.  Results do
+    not depend on ``threads``.
     The calibration defaults to ``auto``
     (:meth:`~sitscreen.estimator.VarianceCalibration.from_counts`) of the
     dataset's level table.  Too few rows for two slices raise SampleTooSmall
@@ -218,7 +220,7 @@ def screen_all(
         raise AllColumnsConstant("every covariate column is constant")
     kept, kept_counts = _trim(counts, c)
     p = data.p
-    seeds = derive_seeds(config.tie_seed, p)
+    seeds = tie_keys(np.uint64(config.tie_seed), tie_counters(np.arange(p)))
     bounds = np.linspace(0, p, min(resolve_threads(threads), p) + 1).astype(int)
     work = partial(_omegas, x, kept, kept_counts, seeds, c)
     if len(bounds) == 2:  # one worker runs here: a pool thread costs 5-20%

@@ -29,8 +29,10 @@ freedom as listed.
 and list of threshold rules and aggregates the usual criteria: per-covariate
 selection proportions, the all-active proportion, minimum-model-size
 quantiles, average model size, and mean false-discovery proportion.
-Replication i derives its seeds from hash(master_seed, i), so reports are
-reproducible regardless of scheduling.
+Replication i takes its design, response and tie seeds from
+derive_seed(master_seed, i, tag), which is tie_key(tie_key(master_seed, i),
+tag) for a master below 2**64, so reports are reproducible regardless of
+scheduling.
 """
 
 from __future__ import annotations

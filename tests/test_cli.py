@@ -356,6 +356,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "seeds must be non-negative integers, got -1" in err
 
+    def test_a_master_seed_beyond_64_bits_simulates(self, tmp_path):
+        # derive_seed folds every 64-bit word of a wide master seed
+        out = tmp_path / "sim.json"
+        code = run_cli(["simulate", "--model", "c1", "--n", "64", "--p", "40",
+                        "--c", "4", "--reps", "1", "--seed", str(2**70),
+                        "--output", str(out)])
+        assert code == 0 and load(out)["config"]["seed"] == 2**70
+
+    def test_a_screen_seed_beyond_64_bits_is_refused(self, tmp_path, capsys):
+        csv_path = signal_csv(tmp_path, n=64, p=10)
+        code = run_cli(["screen", "--input", csv_path, "--response", "y",
+                        "--seed", str(2**64)])
+        assert code == 4
+        assert "tie_seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
 
 # Every exception class the library defines, each with its documented code.
 SITSCREEN_ERRORS = [

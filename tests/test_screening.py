@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -40,7 +41,7 @@ from sitscreen.screening import (
     minimum_model_size,
     resolve_threads,
 )
-from sitscreen.seeding import derive_seed, derive_seeds, dropped_rows
+from sitscreen.seeding import derive_seed, dropped_rows, tie_counters, tie_keys
 
 
 def make_result(omega_like, n=64, c=2, seed=0):
@@ -482,7 +483,7 @@ def test_tie_free_blocks_work_in_the_workspace():
             designs.append((n, rng.integers(info.min, info.max + 1, (n, 4 * step), dtype=dtype)))
     for n, x in designs:
         kept, counts = estimator._trim(rank_counts(rng.standard_normal(n)), c)
-        seeds = derive_seeds(3, x.shape[1])
+        seeds = tie_keys(np.uint64(3), tie_counters(np.arange(x.shape[1])))
         first = estimator._omegas(x, kept, counts, seeds, c, 0, x.shape[1])
         tracemalloc.start()
         try:
@@ -537,6 +538,20 @@ def test_entries_float64_cannot_hold_are_refused(kind, where):
         match = {"complex": "imaginary", "longdouble": "exactly"}.get(kind, r"2\*\*53")
         with pytest.raises(ConfigError, match=match):
             build()
+
+
+def test_a_longdouble_input_names_its_first_rounded_entry():
+    # the message names the first entry float64 would round, and a NaN is
+    # left to the finiteness check
+    if np.finfo(np.longdouble).nmant <= 52:
+        pytest.skip("longdouble is float64 here")
+    values = np.arange(64, dtype=np.longdouble)
+    values[[9, 5]] += np.longdouble(2) ** -59
+    with pytest.raises(ConfigError, match=re.escape(f"entry {values[5]!r} is not held")):
+        Dataset(values[:, None], np.arange(64.0))
+    values[[5, 9]] = np.nan
+    with pytest.raises(ConfigError, match="finite"):
+        Dataset(values[:, None], np.arange(64.0))
 
 
 @pytest.mark.parametrize(

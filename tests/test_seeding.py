@@ -1,5 +1,5 @@
-"""The batched seed hash equals numpy's SeedSequence, compared as uint64
-bits; the vectorised tie-break keys equal SplitMix64 and order ties
+"""A derived seed is a SplitMix64 tie key, as are the column seeds of a
+screen; the vectorised tie-break keys equal SplitMix64 and order ties
 uniformly, and the dropped rows equal a literal Floyd's sample."""
 
 import itertools
@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sitscreen import estimator
+from sitscreen import estimator, screening
 from sitscreen.errors import ConfigError
 from sitscreen.seeding import (
     derive_seed,
-    derive_seeds,
     dropped_rows,
     tie_counters,
     tie_key,
@@ -29,29 +28,60 @@ seeds64 = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(master=seeds64, p=st.integers(0, 40))
-@example(master=0, p=3)
-@example(master=2**32 - 1, p=3)
-@example(master=2**32, p=3)
-@example(master=2**64 - 1, p=3)
-def test_derive_seeds_equals_derive_seed(master, p):
-    expected = np.array([derive_seed(master, k) for k in range(p)], dtype=np.uint64)
-    got = derive_seeds(master, p)
-    assert got.dtype == np.uint64
-    assert got.tobytes() == expected.tobytes()
+@given(master=seeds64, k=seeds64)
+def test_derive_seed_is_a_tie_key(master, k):
+    assert derive_seed(master, k) == tie_key(master, k)
+
+
+@pytest.mark.parametrize("master", EDGES)
+def test_derive_seed_is_a_tie_key_at_the_edges(master):
+    for k in EDGES:
+        assert derive_seed(master, k) == tie_key(master, k)
 
 
 @pytest.mark.parametrize("master", EDGES + (7, 2**32 + 5))
-def test_derive_seeds_far_along_the_columns(master):
-    seeds = derive_seeds(master, 70_000)
+def test_screen_all_seeds_column_k_with_derive_seed(master, monkeypatch):
+    # the seed vector screen_all hands the kernel, far along the columns
+    taken, omegas = [], screening._omegas
+
+    def spy(x, kept, counts, seeds, *rest):
+        taken.append(seeds)
+        return omegas(x, kept, counts, seeds, *rest)
+
+    monkeypatch.setattr(screening, "_omegas", spy)
+    x = np.tile(np.array([[0], [1], [1], [2]], dtype=np.int8), 70_000)
+    data = screening.Dataset(x, np.arange(4.0))
+    screening.screen_all(data, estimator.SliceConfig(2, master), threads=1)
+    (seeds,) = taken
+    assert seeds.dtype == np.uint64 and seeds.shape == (70_000,)
     for k in (0, 2**16 - 1, 2**16, 69_999):
         assert int(seeds[k]) == derive_seed(master, k)
 
 
-def test_derive_seeds_refuses_a_master_outside_64_bits():
-    for master in (-1, 2**64):
-        with pytest.raises(ConfigError):
-            derive_seeds(master, 3)
+def test_derive_seed_is_pinned():
+    # literal values, so that a change to every seed of the package is
+    # deliberate; the last tuple's first part takes two 64-bit words
+    assert derive_seed(42, 1) == 2949826092126892291
+    assert derive_seed(7, 3, 2) == 7932748853614185806
+    assert derive_seed(2**64 - 1, 2**32) == 14243228784026351428
+    assert derive_seed(2**70, 0, 1) == 17698095295879809526
+    # tie_key(s, k) is SplitMix64's (k + 1)-th output from s, and 2**70's
+    # words are 0 and 64: output 2 from output 1 from output 65 from 0
+    state = next(itertools.islice(splitmix64(0), 64, None))
+    state = next(splitmix64(state))
+    assert derive_seed(2**70, 0, 1) == list(itertools.islice(splitmix64(state), 2))[1]
+
+
+def test_derive_seed_gives_distinct_seeds():
+    grid = itertools.product((0, 1, 42, 2**32, 2**64 - 1, 2**70), range(20), range(3))
+    seeds = [derive_seed(*parts) for parts in grid]
+    assert len(set(seeds)) == len(seeds) and all(0 <= s < 2**64 for s in seeds)
+
+
+def test_derive_seed_refuses_a_negative_part():
+    for parts in ((-1,), (0, -1), (2**70, 3, -2)):
+        with pytest.raises(ConfigError, match=f"non-negative integers, got {parts[-1]}"):
+            derive_seed(*parts)
 
 
 MASK64 = 2**64 - 1
