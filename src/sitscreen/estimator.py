@@ -100,6 +100,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_integer(value, name: str) -> None:
+    """Refuse a value that is not an integer before a range check compares it."""
+    if not _is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 _BEYOND_2_53 = "integer entries must lie within +-2**53, where float64 holds every integer"
 
 

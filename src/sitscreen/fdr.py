@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidSize
+from .estimator import _check_integer
 from .screening import ScreeningResult
 
 RULE_HARD_SIZE = "hard-size"
@@ -155,6 +156,8 @@ class ThresholdRule:
 
     def __post_init__(self):
         if self.kind == RULE_HARD_SIZE:
+            if self.d is not None:
+                _check_integer(self.d, "model size d")
             if self.d is None or self.d < 1:
                 raise ConfigError("hard-size rule needs a model size d >= 1")
         elif self.kind == RULE_HARD_LEVEL:

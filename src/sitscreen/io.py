@@ -7,17 +7,15 @@ outright: imputation would silently change ranks and therefore the statistic.
 Covariates are kept as read, never centred or scaled: the statistic reads
 ranks only, and rescaling floats can merge distinct values.
 
-The data rows are read by one of two paths.  The bulk path streams them
-through a single ``np.loadtxt`` call and checks shape and finiteness once.
-It keeps a table only where the cell-by-cell scan would return the same
-bits; on any doubt (a parse or decode error, a field past
-``csv.field_size_limit()``, a row of the wrong width, no rows) it steps
-aside and the scan reads the rows again from the start.  A table that
-parses but holds a non-finite value is refused with the scan's message,
-found by one ``csv.reader`` pass that parses only the offending cell; if
-that pass finds anything the scan would word differently, the scan runs.
-A pipe cannot be read twice, so it always takes the scan.  The scan, which
-parses each cell with ``float()``, words every other error.
+The data rows are read by one of two paths, under one rule: the bulk
+path keeps a table only when it is the table the cell-by-cell scan would
+return, and otherwise the scan reads the rows again from the start and
+words the error.  The bulk path streams the rows through a single
+``np.loadtxt`` call and checks shape and finiteness once; a parse or
+decode error, a field past ``csv.field_size_limit()``, a row of the wrong
+width, no rows or a non-finite value all leave the file to the scan.  A
+pipe cannot be read twice, so it always takes the scan.  The scan parses
+each cell with ``float()`` and names a bad cell by row and column.
 """
 
 from __future__ import annotations
@@ -80,8 +78,8 @@ def _ingest(path, response_selector: str) -> Dataset:
         # Rows read in bulk from a pipe could not be read again by the scan.
         if fh.seekable():
             table = _bulk_rows(fh, len(header))
+            # The scan words a non-finite cell by its row and column.
             if table is not None and not np.isfinite(table).all():
-                _refuse_non_finite(fh, path, header, table)
                 table = None
             if table is None:
                 fh.seek(0)
@@ -125,42 +123,6 @@ def _bulk_rows(fh, width: int) -> np.ndarray | None:
     return table
 
 
-def _refuse_non_finite(fh, path, header: list[str], table: np.ndarray) -> None:
-    """Raise the scan's error for a bulk table that parsed but holds a
-    non-finite cell; return, to leave the file to the scan, on any doubt.
-
-    Every cell loadtxt accepted is one ``float()`` accepts, so the scan's
-    first error is the first non-finite cell in row order.  One
-    ``csv.reader`` pass finds its row number and text: it checks the width
-    of every row up to it, parses no cell but that one, and checks that the
-    cell's text is non-finite.
-    """
-    row, col = divmod(int(np.argmin(np.isfinite(table))), table.shape[1])
-    fh.seek(0)
-    reader = csv.reader(fh)
-    next(reader)  # the header
-    data_rows = 0
-    for row_number, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(header):
-            return
-        if data_rows == row:
-            cell = cells[col].strip()
-            try:
-                finite = math.isfinite(float(cell))
-            except ValueError:
-                return
-            if finite:
-                return
-            raise _non_finite(path, row_number, header[col], cell)
-        data_rows += 1
-
-
-def _non_finite(path, row_number: int, name: str, cell: str) -> ParseError:
-    return ParseError(f"{path}: row {row_number}, column {name!r}: non-finite value {cell!r}")
-
-
 def _scan_rows(fh, path, header: list[str]) -> np.ndarray:
     """The data rows cell by cell: the reader that names a bad cell."""
     rows = []
@@ -188,7 +150,10 @@ def _scan_rows(fh, path, header: list[str]) -> np.ndarray:
                     f"non-numeric value {cell!r}"
                 ) from None
             if not math.isfinite(value):
-                raise _non_finite(path, row_number, header[j], cell)
+                raise ParseError(
+                    f"{path}: row {row_number}, column {header[j]!r}: "
+                    f"non-finite value {cell!r}"
+                )
             parsed[j] = value
         rows.append(parsed)
     if not rows:

@@ -8,7 +8,8 @@ changes) and echoes the full effective configuration, derived defaults
 included, so a run can be replayed from its own report.
 
 Non-finite thresholds are serialized as ``null`` in JSON; in the plot-data
-CSV they appear as ``inf`` (readable by numpy and pandas).
+CSV they appear as ``inf`` or ``-inf``, sign kept (readable by numpy and
+pandas).
 """
 
 from __future__ import annotations
@@ -90,8 +91,7 @@ def plot_data_lines(result: ScreeningResult, selected, names, threshold) -> list
     for k in range(result.p):
         name = _csv_field(names[k]) if names is not None else ""
         lines.append(f"{k},{name},{omega[k]!r},{int(selected_mask[k])}")
-    value = threshold if math.isfinite(threshold) else math.inf
-    lines.append(f"THRESHOLD,,{value!r},")
+    lines.append(f"THRESHOLD,,{float(threshold)!r},")
     return lines
 
 

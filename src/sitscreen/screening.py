@@ -36,6 +36,7 @@ from .estimator import (
     RankCounts,
     SliceConfig,
     VarianceCalibration,
+    _check_integer,
     _exact,
     _omegas,
     _trim,
@@ -184,6 +185,8 @@ def resolve_threads(requested: int | None = None) -> int:
         raise ConfigError(
             f"{THREADS_ENV_VAR} must be an integer, got {cap!r}"
         ) from None
+    if requested is not None:
+        _check_integer(requested, "threads")
     threads = requested if requested else (cap or os.cpu_count() or 1)
     if cap is not None:
         threads = min(threads, cap)
@@ -245,7 +248,10 @@ def screen_all(
 
 def minimum_model_size(result: ScreeningResult, active) -> int:
     """Smallest top-of-ranking prefix that covers all ``active`` covariates."""
-    active = np.asarray(list(active), dtype=np.intp)
+    active = list(active)
+    for index in active:
+        _check_integer(index, "active index")
+    active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
         raise EmptyActiveSet("active set must be non-empty")
     if active.min() < 0 or active.max() >= result.p:
@@ -266,6 +272,7 @@ def augment_with_noise(
     keep = np.asarray(sorted(int(k) for k in keep), dtype=np.intp)
     if keep.size and (keep.min() < 0 or keep.max() >= data.p):
         raise ConfigError("keep indices outside [0, p)")
+    _check_integer(num_aux, "num_aux")
     if num_aux < 0:
         raise ConfigError("num_aux must be >= 0")
     rng = rng_from_seed(seed)

@@ -45,7 +45,7 @@ from .errors import ConfigError, IncompatibleDimensions, InvalidRho, InvalidSize
 # ThresholdRule is re-exported: simulation callers build their rules from here.
 from .fdr import RULE_HARD_SIZE, ThresholdRule, evaluate_selection  # noqa: F401
 from .screening import Dataset, minimum_model_size, screen_all
-from .estimator import SliceConfig
+from .estimator import SliceConfig, _check_integer
 from .seeding import derive_seed, rng_from_seed
 
 MMS_QUANTILES = (25, 50, 75, 95)
@@ -64,8 +64,10 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer(self.n, "n")
         if self.n < 4:
             raise ConfigError("n must be at least 4")
+        _check_integer(self.p, "p")
         if self.p < 1:
             raise ConfigError("p must be at least 1")
         if not abs(self.rho) < 1.0:
@@ -148,6 +150,7 @@ class ModelSpec:
         _, _, default_s, fixed_active = _MODELS[self.id]
         if fixed_active is None:
             s = self.s if self.s is not None else default_s
+            _check_integer(s, "sparsity s")
             if s < 1:
                 raise ConfigError("sparsity s must be >= 1")
             object.__setattr__(self, "s", s)
@@ -352,6 +355,7 @@ def run_study(
     ``outcome_hook``, when given, receives each ReplicationOutcome as it
     completes (used by the CLI to stream per-replication CSV rows).
     """
+    _check_integer(reps, "reps")
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     rules = list(rules)

@@ -12,6 +12,8 @@ import pytest
 import sitscreen
 from sitscreen import errors, estimator, screening, simlab
 from sitscreen.cli import auto_slice_size, default_hard_size, main
+from sitscreen.fdr import ThresholdRule, level_threshold_select
+from sitscreen.reports import plot_data_lines
 
 
 def write_csv(path, x, y, names=None):
@@ -129,6 +131,20 @@ class TestScreen:
         assert len(lines) == 40 + 1
         assert lines[-1].startswith("THRESHOLD,,")
         assert lines[0].split(",")[0] == "0"
+
+    @pytest.mark.parametrize("select, row", [
+        (lambda r: level_threshold_select(r, -np.inf), "THRESHOLD,,-inf,"),
+        (lambda r: level_threshold_select(r, np.inf), "THRESHOLD,,inf,"),
+        (lambda r: ThresholdRule(kind="by", q=1e-9).apply(r), "THRESHOLD,,inf,"),
+    ])
+    def test_plot_data_threshold_keeps_its_sign(self, select, row):
+        rng = np.random.default_rng(5)
+        data = screening.Dataset(rng.standard_normal((64, 6)), rng.standard_normal(64))
+        result = screening.screen_all(data, estimator.SliceConfig(c=8))
+        selection = select(result)
+        lines = plot_data_lines(result, selection.selected, None,
+                                selection.realized_threshold)
+        assert lines[-1] == row
 
     def test_plot_data_omega_parses_to_the_report_value(self, tmp_path):
         out = tmp_path / "report.json"

@@ -242,6 +242,17 @@ class TestMinimumModelSize:
         with pytest.raises(EmptyActiveSet):
             minimum_model_size(result, [])
 
+    @pytest.mark.parametrize("active, entry", [
+        ([0.5], "0.5"), ([0, 2.9], "2.9"), ([True], "True"),
+        (np.array([1.0]), "np.float64(1.0)"),
+    ])
+    def test_non_integer_index_is_refused(self, active, entry):
+        # a cast to intp would read 0.5 as column 0 and 2.9 as column 2
+        result = make_result([0.9, 0.8, 0.7])
+        with pytest.raises(ConfigError) as info:
+            minimum_model_size(result, active)
+        assert str(info.value) == f"active index must be an integer, got {entry}"
+
 
 class TestAugment:
     def test_identity(self):

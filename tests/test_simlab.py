@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sitscreen import DesignSpec, ModelSpec, ThresholdRule, run_study, simlab
+from sitscreen import (
+    Dataset,
+    DesignSpec,
+    ModelSpec,
+    SliceConfig,
+    ThresholdRule,
+    run_study,
+    screen_all,
+    simlab,
+)
 from sitscreen.errors import (
     ConfigError,
     IncompatibleDimensions,
@@ -14,6 +23,7 @@ from sitscreen.errors import (
     SampleTooSmall,
 )
 from sitscreen.oracle import oracle_design
+from sitscreen.screening import augment_with_noise
 from sitscreen.simlab import (
     MODEL_IDS,
     aggregate,
@@ -296,3 +306,32 @@ class TestRefusedBeforeDesign:
         run_study(DesignSpec(n=64, p=30, rho=0.5), ModelSpec("b1"), 8,
                   [ThresholdRule(kind="hard-size", d=4)], reps=2, master_seed=1)
         assert len(designs) == 2
+
+
+def _tiny_study(n=64, p=30, s=None, reps=1):
+    run_study(DesignSpec(n=n, p=p, rho=0.5), ModelSpec("a1", s=s), 8,
+              [ThresholdRule(kind="hard-size", d=4)], reps=reps, master_seed=1)
+
+
+def _tiny_data():
+    rng = np.random.default_rng(4)
+    return Dataset(rng.standard_normal((32, 3)), rng.standard_normal(32))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ThresholdRule(kind="hard-size", d=2.5), "model size d must be an integer, got 2.5"),
+    (lambda: ThresholdRule(kind="hard-size", d=True), "model size d must be an integer, got True"),
+    (lambda: _tiny_study(n=64.5), "n must be an integer, got 64.5"),
+    (lambda: _tiny_study(p=30.0), "p must be an integer, got 30.0"),
+    (lambda: _tiny_study(s=2.5), "sparsity s must be an integer, got 2.5"),
+    (lambda: _tiny_study(reps=1.5), "reps must be an integer, got 1.5"),
+    (lambda: augment_with_noise(_tiny_data(), keep=[0], num_aux=2.5, seed=0),
+     "num_aux must be an integer, got 2.5"),
+    (lambda: screen_all(_tiny_data(), SliceConfig(c=8), threads=2.5),
+     "threads must be an integer, got 2.5"),
+])
+def test_a_non_integer_argument_is_a_config_error(call, message):
+    # a float would pass the range checks and fail later with a raw TypeError
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert type(info.value) is ConfigError and str(info.value) == message
