@@ -80,7 +80,7 @@ from .errors import (
     InvalidCalibration,
     SampleTooSmall,
 )
-from .seeding import dropped_rows, tie_counters, tie_key, tie_keys
+from .seeding import _is_integer, dropped_rows, tie_counters, tie_key, tie_keys
 
 # sigma^2 for a continuous (tie-free) response.
 FIXED_SIGMA_SQ = 4.0 / 5.0
@@ -94,16 +94,14 @@ SIGMA_MODES = ("auto", "fixed", "plugin")
 BLOCK_CELLS = 2**15
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, but not a bool, which Python counts as an
-    int (numpy's bool is no np.integer)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_integer(value, name: str) -> None:
-    """Refuse a value that is not an integer before a range check compares it."""
+def _check_integer(value, name: str, low: int | None = None) -> None:
+    """Refuse ``value`` unless it is an integer (an int or a numpy integer,
+    not a bool, a float or None) of at least ``low``, when given: the one
+    place an integer argument's type and lower bound are worded."""
     if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be at least {low}")
 
 
 _BEYOND_2_53 = "integer entries must lie within +-2**53, where float64 holds every integer"
@@ -151,6 +149,17 @@ def _exact(a) -> np.ndarray:
     return a
 
 
+def _vector(a, name: str) -> np.ndarray:
+    """``a`` as a 1-D float64 vector of finite entries, each held exactly
+    (:func:`_exact`); a float64 input is not copied."""
+    v = np.asarray(_exact(a), dtype=np.float64)
+    if v.ndim != 1:
+        raise ConfigError(f"{name} must be one-dimensional")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"all entries of {name} must be finite")
+    return v
+
+
 @dataclass(frozen=True)
 class SliceConfig:
     """The caller's slicing choices: c observations per slice, a tie seed.
@@ -192,20 +201,15 @@ class SliceConfig:
 @dataclass(frozen=True)
 class PairedSample:
     """One covariate/response pair of equal-length finite float vectors;
-    entries float64 cannot hold exactly are refused (:func:`_exact`)."""
+    entries float64 cannot hold exactly are refused (:func:`_vector`)."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(_exact(self.x), dtype=np.float64)
-        y = np.asarray(_exact(self.y), dtype=np.float64)
-        if x.ndim != 1 or y.ndim != 1:
-            raise ConfigError("x and y must be one-dimensional")
+        x, y = _vector(self.x, "x"), _vector(self.y, "y")
         if x.shape[0] != y.shape[0]:
             raise ConfigError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ConfigError("all values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -690,8 +694,7 @@ def z_statistic(
 ) -> float:
     """Scale a statistic value (or an array of them) to its asymptotic
     standard-normal z score."""
-    if c < 2:
-        raise ConfigError(f"slice size c must be >= 2, got {c}")
+    _check_integer(c, "slice size c", 2)
     if not (cal.sigma_sq > 0):
         raise InvalidCalibration(f"sigma_sq must be positive, got {cal.sigma_sq}")
     return math.sqrt(n_effective * (c - 1)) * estimate_value / cal.sigma
@@ -700,6 +703,7 @@ def z_statistic(
 # Cephes ndtr.c coefficients, highest power first: erfc = exp(-x^2) P(x)/Q(x)
 # for 1 <= x < 8 and R(x)/S(x) from 8 on; erf = x T(x^2)/U(x^2) below 1.  The
 # leading 1.0 of Q, S, U is implicit in Cephes (p1evl); 1.0 * x is exact.
+# np.polyval is Cephes' polevl run from 0: 0 * x + c0 = c0 for finite x.
 _P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
       7.46321056442269912687e0, 4.86371970985681366614e1,
       1.96520832956077098242e2, 5.26445194995477358631e2,
@@ -725,14 +729,6 @@ _SQRT1_2 = 0.70710678118654752440
 _MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x^2) underflows past it
 
 
-def _horner(x, coef):
-    """Cephes polevl: the polynomial with coefficients ``coef`` at x."""
-    y = coef[0]
-    for c in coef[1:]:
-        y = y * x + c
-    return y
-
-
 def _ndtr(a):
     """Standard normal CDF, bit for bit as Cephes ndtr (scipy.special.ndtr).
 
@@ -748,13 +744,13 @@ def _ndtr(a):
     erfc = np.full_like(z, np.nan)  # erfc(|x|); NaN stays NaN
     erfc[zz > _MAXLOG] = 0.0
     near = z < 1.0
-    erf = x[near] * _horner(zz[near], _T) / _horner(zz[near], _U)
+    erf = x[near] * np.polyval(_T, zz[near]) / np.polyval(_U, zz[near])
     erfc[near] = 1.0 - np.abs(erf)
     far = (z >= 1.0) & (zz <= _MAXLOG)
     v = z[far]
     low = v < 8.0
-    num = np.where(low, _horner(v, _P), _horner(v, _R))
-    den = np.where(low, _horner(v, _Q), _horner(v, _S))
+    num = np.where(low, np.polyval(_P, v), np.polyval(_R, v))
+    den = np.where(low, np.polyval(_Q, v), np.polyval(_S, v))
     exp = np.array([math.exp(-t) for t in zz[far].tolist()])
     erfc[far] = exp * num / den
     y = 0.5 * erfc
@@ -772,13 +768,9 @@ def p_value_from_z(z: float | np.ndarray) -> np.float64 | np.ndarray:
 
 def auto_calibration(y: np.ndarray) -> VarianceCalibration:
     """Fixed 4/5 calibration for tie-free responses, plug-in otherwise.  A
-    response that is not 1-D, not finite, not held exactly by float64
-    (:func:`_exact`) or under 2 values is refused."""
-    y = np.asarray(_exact(y), dtype=np.float64)
-    if y.ndim != 1:
-        raise ConfigError("the response must be one-dimensional")
-    if not np.isfinite(y).all():
-        raise ConfigError("all values must be finite")
+    response that is not a finite 1-D vector (:func:`_vector`) or under 2
+    values is refused."""
+    y = _vector(y, "the response")
     if y.shape[0] < 2:
         raise SampleTooSmall("need at least 2 observations")
     return VarianceCalibration.from_counts(rank_counts(y))

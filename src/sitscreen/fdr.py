@@ -40,6 +40,15 @@ RULE_BH = "bh"
 ADJUSTMENTS = (RULE_BY, RULE_BH)
 
 
+def _indices(a, name: str) -> np.ndarray:
+    """``a`` as an intp array, refused unless empty or of an integer dtype:
+    a float would be truncated and a bool mask read as indices 0 and 1."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ConfigError(f"{name} indices must be integers, got {a.dtype} entries")
+    return a.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class Selection:
     """Outcome of a threshold rule: sorted selected indices, rule, threshold.
@@ -55,9 +64,7 @@ class Selection:
     harmonic_constant: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "selected", np.asarray(self.selected, dtype=np.intp)
-        )
+        object.__setattr__(self, "selected", _indices(self.selected, "selected"))
 
     @property
     def num_selected(self) -> int:
@@ -66,6 +73,7 @@ class Selection:
 
 def hard_threshold_select(result: ScreeningResult, d: int) -> Selection:
     """Keep the d covariates with the largest utilities (ties by index)."""
+    _check_integer(d, "model size d")
     if not (1 <= d <= result.p):
         raise InvalidSize(f"model size d={d} outside [1, {result.p}]")
     top = result.order[:d]
@@ -156,10 +164,7 @@ class ThresholdRule:
 
     def __post_init__(self):
         if self.kind == RULE_HARD_SIZE:
-            if self.d is not None:
-                _check_integer(self.d, "model size d")
-            if self.d is None or self.d < 1:
-                raise ConfigError("hard-size rule needs a model size d >= 1")
+            _check_integer(self.d, "model size d", 1)
         elif self.kind == RULE_HARD_LEVEL:
             if self.level is None:
                 raise ConfigError("hard-level rule needs a level")
@@ -195,8 +200,8 @@ def evaluate_selection(selected, active) -> tuple[float, int]:
     The FDP uses the max(|selected|, 1) guard, so an empty selection scores
     zero false discoveries.
     """
-    selected = set(int(k) for k in selected)
-    active = set(int(k) for k in active)
+    selected = set(_indices(list(selected), "selected").tolist())
+    active = set(_indices(list(active), "active").tolist())
     false_hits = len(selected - active)
     true_hits = len(selected & active)
     return false_hits / max(len(selected), 1), true_hits

@@ -24,6 +24,7 @@ call per screen.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from .estimator import (
     _exact,
     _omegas,
     _trim,
+    _vector,
     p_value_from_z,
     rank_counts,
     z_statistic,
@@ -76,16 +78,14 @@ class Dataset:
     def __post_init__(self):
         x = _exact(self.x)
         # a read-only copy, so the cached level table cannot go stale
-        y = np.array(_exact(self.y), dtype=np.float64)
+        y = _vector(self.y, "the response").copy()
         y.setflags(write=False)
         if x.ndim != 2:
             raise ConfigError("covariates must form a 2-D matrix")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        if y.shape[0] != x.shape[0]:
             raise ConfigError("response length must match the number of rows")
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ConfigError("need at least one row and one column")
-        if not np.isfinite(y).all():
-            raise ConfigError("all entries must be finite")
         x = _design(x)
         if self.names is not None:
             names = tuple(str(v) for v in self.names)
@@ -177,20 +177,17 @@ class ScreeningResult:
 
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: the explicit request, else SIT_SCREEN_THREADS, else the
-    CPU count; SIT_SCREEN_THREADS, if set, also caps a request."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    try:
-        cap = int(cap) if cap else None
-    except ValueError:
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be an integer, got {cap!r}"
-        ) from None
-    if requested is not None:
-        _check_integer(requested, "threads")
-    threads = requested if requested else (cap or os.cpu_count() or 1)
+    CPU count; SIT_SCREEN_THREADS, if set (not empty), also caps a request.
+    Each must be an integer of at least 1: anything else is a ConfigError."""
+    cap = os.environ.get(THREADS_ENV_VAR) or None
     if cap is not None:
-        threads = min(threads, cap)
-    return max(threads, 1)
+        with contextlib.suppress(ValueError):
+            cap = int(cap)
+        _check_integer(cap, THREADS_ENV_VAR, 1)
+    if requested is not None:
+        _check_integer(requested, "threads", 1)
+    threads = requested or cap or os.cpu_count() or 1
+    return threads if cap is None else min(threads, cap)
 
 
 def screen_all(
@@ -246,16 +243,22 @@ def screen_all(
     )
 
 
+def _columns(indices, name: str, p: int) -> np.ndarray:
+    """``indices`` as an intp array, each an integer in [0, p)."""
+    indices = list(indices)
+    for index in indices:
+        _check_integer(index, name, 0)
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.size and indices.max() >= p:
+        raise ConfigError(f"{name} {indices.max()} outside [0, {p})")
+    return indices
+
+
 def minimum_model_size(result: ScreeningResult, active) -> int:
     """Smallest top-of-ranking prefix that covers all ``active`` covariates."""
-    active = list(active)
-    for index in active:
-        _check_integer(index, "active index")
-    active = np.asarray(active, dtype=np.intp)
+    active = _columns(active, "active index", result.p)
     if active.size == 0:
         raise EmptyActiveSet("active set must be non-empty")
-    if active.min() < 0 or active.max() >= result.p:
-        raise ConfigError("active indices outside [0, p)")
     return int(result.ranks()[active].max())
 
 
@@ -269,12 +272,8 @@ def augment_with_noise(
     columns are appended after the kept ones and labelled ``aux_####`` when
     the dataset carries names.
     """
-    keep = np.asarray(sorted(int(k) for k in keep), dtype=np.intp)
-    if keep.size and (keep.min() < 0 or keep.max() >= data.p):
-        raise ConfigError("keep indices outside [0, p)")
-    _check_integer(num_aux, "num_aux")
-    if num_aux < 0:
-        raise ConfigError("num_aux must be >= 0")
+    keep = np.sort(_columns(keep, "keep index", data.p))
+    _check_integer(num_aux, "num_aux", 0)
     rng = rng_from_seed(seed)
     blocks = [data.x[:, keep]] if keep.size else []
     if num_aux:

@@ -42,22 +42,32 @@ _MASK64 = 2**64 - 1
 _GAMMA, _MIX_A, _MIX_B = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool (numpy's is no np.integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _seed(part) -> int:
+    """A non-negative integer seed as an int; a float or bool is refused."""
+    if not _is_integer(part) or part < 0:
+        raise ConfigError(f"seeds must be non-negative integers, got {part}")
+    return int(part)
+
+
 def derive_seed(*parts: int) -> int:
-    """Fold one or more non-negative integers into a 64-bit seed: their
-    64-bit words, low word first, go through seed = tie_key(seed, word)
-    from the first word on, so derive_seed(s, k) = tie_key(s, k) for s and
-    k below 2**64."""
+    """Fold one or more non-negative integers (ints or numpy integers, not
+    floats or bools) into a 64-bit seed: their 64-bit words, low word
+    first, go through seed = tie_key(seed, word) from the first word on, so
+    derive_seed(s, k) = tie_key(s, k) for s and k below 2**64."""
     words = []
-    for part in map(int, parts):
-        if part < 0:
-            raise ConfigError(f"seeds must be non-negative integers, got {part}")
+    for part in map(_seed, parts):
         words += [part >> at & _MASK64 for at in range(0, max(part.bit_length(), 1), 64)]
     return functools.reduce(tie_key, words)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Canonical generator construction: one PCG64 stream per seed."""
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_seed(seed))
 
 
 def tie_key(seed: int, i: int) -> int:

@@ -64,12 +64,9 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer(self.n, "n")
-        if self.n < 4:
-            raise ConfigError("n must be at least 4")
-        _check_integer(self.p, "p")
-        if self.p < 1:
-            raise ConfigError("p must be at least 1")
+        _check_integer(self.n, "n", 4)
+        _check_integer(self.p, "p", 1)
+        _check_integer(self.seed, "seed", 0)
         if not abs(self.rho) < 1.0:
             raise InvalidRho(f"rho must lie in (-1, 1), got {self.rho}")
 
@@ -150,9 +147,7 @@ class ModelSpec:
         _, _, default_s, fixed_active = _MODELS[self.id]
         if fixed_active is None:
             s = self.s if self.s is not None else default_s
-            _check_integer(s, "sparsity s")
-            if s < 1:
-                raise ConfigError("sparsity s must be >= 1")
+            _check_integer(s, "sparsity s", 1)
             object.__setattr__(self, "s", s)
         elif self.s is not None:
             raise ConfigError(f"model {self.id!r} has a fixed active set; drop s")
@@ -355,9 +350,7 @@ def run_study(
     ``outcome_hook``, when given, receives each ReplicationOutcome as it
     completes (used by the CLI to stream per-replication CSV rows).
     """
-    _check_integer(reps, "reps")
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
+    _check_integer(reps, "reps", 1)
     rules = list(rules)
     if not rules:
         raise ConfigError("need at least one threshold rule")

@@ -318,6 +318,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "SIT_SCREEN_THREADS" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_thread_cap_below_one(self, tmp_path, monkeypatch, capsys, cap):
+        # refused before any screen, so no report is written
+        csv_path = signal_csv(tmp_path)
+        out = tmp_path / "report.json"
+        monkeypatch.setenv("SIT_SCREEN_THREADS", cap)
+        code = run_cli(["screen", "--input", csv_path, "--response", "y",
+                        "--output", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == "error: SIT_SCREEN_THREADS must be at least 1\n"
+        assert not out.exists()
+
     def test_sample_too_small(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 2))

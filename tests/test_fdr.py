@@ -17,6 +17,7 @@ from sitscreen import (
 from sitscreen.errors import ConfigError, NonPositiveThreshold
 from sitscreen.estimator import p_value_from_z
 from sitscreen.fdr import (
+    Selection,
     evaluate_selection,
     harmonic_number,
     level_threshold_select,
@@ -195,6 +196,23 @@ class TestEvaluateSelection:
     def test_perfect(self):
         fdp, tp = evaluate_selection({1, 2}, {1, 2})
         assert fdp == 0.0 and tp == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Selection(selected=[0.5, 1.7], rule="by", realized_threshold=0.1),
+    lambda: Selection(selected=np.array([True, False]), rule="by", realized_threshold=0.1),
+    lambda: evaluate_selection([0.5], [0]),
+    lambda: evaluate_selection([0], np.array([1.0])),
+])
+def test_indices_that_are_not_integers_are_refused(build):
+    # a cast to intp would truncate 0.5 to 0 and read a mask as 0s and 1s
+    with pytest.raises(ConfigError, match="indices must be integers"):
+        build()
+
+
+def test_an_empty_selection_needs_no_integer_dtype():
+    assert Selection(selected=[], rule="by", realized_threshold=np.inf).num_selected == 0
+    assert evaluate_selection([], np.array([], dtype=float)) == (0.0, 0)
 
 
 @st.composite

@@ -303,6 +303,20 @@ def test_resolve_threads_env_cap(monkeypatch):
     assert resolve_threads(3) == 3
 
 
+@pytest.mark.parametrize("cap, requested, message", [
+    ("0", None, "SIT_SCREEN_THREADS must be at least 1"),
+    ("-2", 4, "SIT_SCREEN_THREADS must be at least 1"),
+    ("2.5", None, "SIT_SCREEN_THREADS must be an integer, got '2.5'"),
+    ("4", 0, "threads must be at least 1"),
+])
+def test_a_thread_count_below_one_is_a_config_error(monkeypatch, cap, requested, message):
+    # a cap below 1 must not run one worker, whatever was asked
+    monkeypatch.setenv("SIT_SCREEN_THREADS", cap)
+    with pytest.raises(ConfigError) as info:
+        resolve_threads(requested)
+    assert str(info.value) == message
+
+
 def _column(rng, kind, n):
     if kind == "tie-free":
         return rng.standard_normal(n)

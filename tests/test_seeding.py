@@ -84,6 +84,11 @@ def test_derive_seed_refuses_a_negative_part():
             derive_seed(*parts)
 
 
+def test_derive_seed_reads_a_numpy_integer_as_its_value():
+    assert derive_seed(np.uint64(7), 1) == derive_seed(7, 1)
+    assert derive_seed(np.int8(7), np.uint64(2**64 - 1)) == derive_seed(7, 2**64 - 1)
+
+
 MASK64 = 2**64 - 1
 
 

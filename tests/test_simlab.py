@@ -23,7 +23,9 @@ from sitscreen.errors import (
     SampleTooSmall,
 )
 from sitscreen.oracle import oracle_design
-from sitscreen.screening import augment_with_noise
+from sitscreen.fdr import hard_threshold_select
+from sitscreen.screening import augment_with_noise, resolve_threads
+from sitscreen.seeding import derive_seed
 from sitscreen.simlab import (
     MODEL_IDS,
     aggregate,
@@ -308,9 +310,9 @@ class TestRefusedBeforeDesign:
         assert len(designs) == 2
 
 
-def _tiny_study(n=64, p=30, s=None, reps=1):
+def _tiny_study(n=64, p=30, s=None, reps=1, master_seed=1):
     run_study(DesignSpec(n=n, p=p, rho=0.5), ModelSpec("a1", s=s), 8,
-              [ThresholdRule(kind="hard-size", d=4)], reps=reps, master_seed=1)
+              [ThresholdRule(kind="hard-size", d=4)], reps=reps, master_seed=master_seed)
 
 
 def _tiny_data():
@@ -329,9 +331,43 @@ def _tiny_data():
      "num_aux must be an integer, got 2.5"),
     (lambda: screen_all(_tiny_data(), SliceConfig(c=8), threads=2.5),
      "threads must be an integer, got 2.5"),
+    # seeds and indices that int() would truncate: 2.5 as 2, [0.5, 1.9] as [0, 1]
+    (lambda: augment_with_noise(_tiny_data(), keep=[0.5, 1.9], num_aux=0, seed=0),
+     "keep index must be an integer, got 0.5"),
+    (lambda: augment_with_noise(_tiny_data(), keep=[0], num_aux=1, seed=2.5),
+     "seeds must be non-negative integers, got 2.5"),
+    (lambda: _tiny_study(master_seed=2.5), "seeds must be non-negative integers, got 2.5"),
+    (lambda: derive_seed(2.5, 1), "seeds must be non-negative integers, got 2.5"),
+    (lambda: derive_seed(True), "seeds must be non-negative integers, got True"),
+    # a bool d would keep one covariate, a float fail as a slice bound
+    (lambda: hard_threshold_select(screen_all(_tiny_data(), SliceConfig(c=8)), True),
+     "model size d must be an integer, got True"),
+    (lambda: hard_threshold_select(screen_all(_tiny_data(), SliceConfig(c=8)), 2.5),
+     "model size d must be an integer, got 2.5"),
 ])
 def test_a_non_integer_argument_is_a_config_error(call, message):
     # a float would pass the range checks and fail later with a raw TypeError
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert type(info.value) is ConfigError and str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DesignSpec(n=64, p=30, rho=0.5, seed=-1), "seed must be at least 0"),
+    (lambda: _tiny_study(n=3), "n must be at least 4"),
+    (lambda: _tiny_study(s=0), "sparsity s must be at least 1"),
+    (lambda: _tiny_study(reps=0), "reps must be at least 1"),
+    (lambda: ThresholdRule(kind="hard-size", d=0), "model size d must be at least 1"),
+    (lambda: augment_with_noise(_tiny_data(), keep=[0], num_aux=-1, seed=0),
+     "num_aux must be at least 0"),
+    (lambda: augment_with_noise(_tiny_data(), keep=[-1], num_aux=1, seed=0),
+     "keep index must be at least 0"),
+    # 0 must not read as the default worker count, nor a negative count as one
+    (lambda: resolve_threads(0), "threads must be at least 1"),
+    (lambda: resolve_threads(-3), "threads must be at least 1"),
+])
+def test_an_integer_below_its_floor_is_a_config_error(call, message):
+    # every lower bound is worded by estimator._check_integer
     with pytest.raises(ConfigError) as info:
         call()
     assert type(info.value) is ConfigError and str(info.value) == message
